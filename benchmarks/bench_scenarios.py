@@ -167,15 +167,16 @@ def check_matrix(report: dict, committed: dict,
     return problems
 
 
-def test_scenario_matrix(bench_baseline):
-    # Pytest entry: run the matrix and refresh the committed goldens.
+def test_scenario_matrix():
+    # Pytest entry: the matrix must reproduce the committed goldens.
+    from conftest import BASELINE_DIR  # benchmarks/ on sys.path
     report = run_matrix()
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
-    for name, entry in report["scenarios"].items():
-        assert entry.get("jobs_proof_ok", True), name
-        assert not entry.get("expectation_problems"), name
-    bench_baseline("scenarios", report)
+    committed = json.loads(
+        (BASELINE_DIR / "BENCH_scenarios.json").read_text())
+    problems = check_matrix(report, committed)
+    assert not problems, "\n".join(problems)
 
 
 def main() -> None:

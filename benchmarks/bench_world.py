@@ -145,7 +145,8 @@ def run_jobs_sweep(jobs_list, inv_scale: int = INV_SCALE, seed: int = SEED,
     * ``parallel_efficiency`` — ``T1 / (N * TN)`` with ``N`` the
       *resolved* worker count (``--jobs 0`` resolves to the core
       count), read from the ``build.merge_shards`` span labels.  1.0 is
-      perfect linear scaling; the CI gate holds jobs=2 above 0.7.
+      perfect linear scaling; reported, not gated (about 0.5 at 1/100
+      on two cores).
     * ``straggler_ratio`` — the widest single ``build.populate_shard``
       span over the merge-phase elapsed wall.  Under the old per-TLD
       layout the ``.com`` shard alone was ≈0.9 of the build; with
@@ -289,14 +290,13 @@ def _git_rev() -> Optional[str]:
         return None
 
 
-def test_world_build_throughput(bench_baseline):
-    # Pytest entry: measure at the default point and refresh the
-    # committed baseline (the fingerprint pins value preservation).
+def test_world_build_throughput():
+    # Pytest entry: measure at the default point (the CLI alone writes
+    # the committed baseline).
     report = run_build()
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
     assert report["registrations"] > 10_000
-    bench_baseline("worldgen", report)
 
 
 def main() -> None:

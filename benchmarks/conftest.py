@@ -12,8 +12,9 @@ optional.
 ## Perf-baseline regression policy
 
 ``BENCH_<name>.json`` files committed next to the benches are the perf
-trajectory: one machine-readable data point per harness per PR.
-``check_against_baseline`` fails a run when a lower-is-better metric
+trajectory: one machine-readable data point per harness per PR.  Only
+each harness's CLI writes its baseline; a ``pytest benchmarks`` run
+never rewrites one.  ``check_against_baseline`` fails a run when a lower-is-better metric
 (wall seconds, lag) exceeds the committed value by more than
 ``REGRESSION_TOLERANCE`` (2x).  The tolerance is deliberately loose:
 baselines are recorded on whatever machine produced the PR, CI runners
@@ -141,11 +142,6 @@ if pytest is not None:
 
     from repro.core.pipeline import run_pipeline
     from repro.workload.scenario import ScenarioConfig, build_world
-
-    @pytest.fixture
-    def bench_baseline():
-        """The baseline writer as a fixture, for benches run under pytest."""
-        return write_baseline
 
     @pytest.fixture(scope="session")
     def world():

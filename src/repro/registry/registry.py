@@ -15,7 +15,6 @@ everything observable from them:
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dnscore import name as dnsname
@@ -341,14 +340,11 @@ LIFECYCLE_FIELDS: Tuple[str, ...] = (
 )
 
 
-def lifecycle_rows(registry: Registry, start: int = 0,
-                   stop: Optional[int] = None) -> List[Tuple]:
+def lifecycle_rows(registry: Registry) -> List[Tuple]:
     """Flatten lifecycles of ``registry`` into compact rows.
 
     Args:
         registry: the (typically worker-private) registry to export.
-        start: first lifecycle (by insertion order) to export.
-        stop: one past the last lifecycle to export (None: all).
 
     Returns:
         One tuple per lifecycle in insertion order, fields as named by
@@ -357,18 +353,12 @@ def lifecycle_rows(registry: Registry, start: int = 0,
         frozensets on load.
 
     Rows contain only primitives, enums, and (interned) strings — no
-    lifecycle or timeline objects — so pickling them across a process
-    boundary is cheap and reconstruction is exact.  The ``start``/
-    ``stop`` window is what lets the parallel world build stream a
-    shard's rows back in bounded chunks while the shard is still
-    populating: rows for already-executed plans are final, so a prefix
-    export at any plan boundary is exact.
+    lifecycle or timeline objects — so pickling a whole shard's rows
+    into the parallel world build's worker result is cheap and
+    reconstruction is exact.
     """
-    lifecycles: Iterable = registry.lifecycles()
-    if start or stop is not None:
-        lifecycles = islice(lifecycles, start, stop)
     rows: List[Tuple] = []
-    for lc in lifecycles:
+    for lc in registry.lifecycles():
         rows.append((
             lc.domain, lc.registrar, lc.created_at, lc.zone_added_at,
             lc.removed_at, lc.zone_removed_at, lc.dns_provider,

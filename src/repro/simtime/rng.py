@@ -315,11 +315,6 @@ class StreamBank:
         return stream
 
 
-#: Historical name of :class:`StreamBank` (pre-dates the fast-forward
-#: API); kept as an alias so existing callers and pickles keep working.
-SeedBank = StreamBank
-
-
 #: Hashers pre-fed with ``salt + \x00`` — salts come from a small fixed
 #: vocabulary (topic names, decision tags), so caching them turns every
 #: hash into one copy + one update instead of three updates.
@@ -372,7 +367,7 @@ def stable_bucket(text: str, buckets: int, salt: str = "") -> int:
 
 
 def spawn(master: int, *path: str) -> RngStream:
-    """Convenience: one-off child stream without a :class:`SeedBank`."""
+    """Convenience: one-off child stream without a :class:`StreamBank`."""
     return RngStream(master, *path)
 
 

@@ -119,13 +119,6 @@ class ScenarioConfig:
     #: ``docs/determinism.md``); this knob only trades processes for
     #: wall-clock.
     parallel: int = 1
-    #: Lifecycle rows per streamed merge chunk: workers push completed
-    #: rows back to the parent in bounded chunks of this size, so
-    #: merging overlaps the largest shard's build instead of waiting
-    #: for its result pickle.  Chunk boundaries are deterministic, so
-    #: retried shards re-produce identical chunks (dedup by sequence
-    #: number makes recovery idempotent).  Never affects world bytes.
-    merge_chunk_rows: int = 4096
     #: Deterministic fault plan (``--fault-plan``); a string parses via
     #: :meth:`FaultPlan.parse`.  The supervised parallel build survives
     #: injected ``worker.crash``/``worker.hang`` faults and still
@@ -160,8 +153,6 @@ class ScenarioConfig:
             self.fault_plan = FaultPlan.parse(self.fault_plan)
         if self.max_shard_retries < 0:
             raise ConfigError("max_shard_retries must be >= 0")
-        if self.merge_chunk_rows < 1:
-            raise ConfigError("merge_chunk_rows must be >= 1")
         if self.shard_deadline is not None and self.shard_deadline <= 0:
             raise ConfigError("shard_deadline must be positive")
         if self.scenario is not None:
@@ -447,6 +438,13 @@ _CA_INDICES = ca_index_sampler()
 #: ``(request_at, domain, extra_sans | None, pinned_ca_index | None)``.
 CertEvent = Tuple[int, str, Optional[Tuple[str, ...]], Optional[int]]
 
+#: One built shard as it crosses the process boundary: ``(lifecycle
+#: rows, dirty zone ticks, DZDB rows, DV-token seeds, cert events,
+#: counters)``.
+ShardArrays = Tuple[List[Tuple], Tuple[int, ...], List[Tuple],
+                    List[Tuple[int, str, int]], List[CertEvent],
+                    Dict[str, int]]
+
 
 def capick_draw_counts(config: ScenarioConfig,
                        targets: Dict[str, TLDTargets]
@@ -530,8 +528,7 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                     dzdb: DZDB,
                     seed_token: Callable[[int, str, int], None],
                     cert_events: List[CertEvent],
-                    stats: Dict[str, int],
-                    checkpoint: Optional[Callable[[], None]] = None) -> None:
+                    stats: Dict[str, int]) -> None:
     """Generate one ``(tld, month)`` shard onto the substrates.
 
     Monthly NRD + fast-takedown plans (with execution against
@@ -546,10 +543,7 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
 
     ``seed_token(ca_index, domain, validated_at)`` decouples DV-token
     placement from live CA objects so the same code runs in worker
-    processes (which only record the index).  ``checkpoint`` is called
-    at registration boundaries — points where every row in ``registry``
-    is final — so a streaming caller can flush completed rows in
-    bounded chunks while the shard is still populating.
+    processes (which only record the index).
     """
     tld = tld_targets.tld
     month_i = cal.month_index(month)
@@ -573,8 +567,6 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                 a_addrs=("198.18.63.1",), actor=profile.name)
             dzdb.observe(domain, created + DAY)
             stats["baseline"] += 1
-            if checkpoint is not None:
-                checkpoint()
 
     namegen = month_scoped(bank.stream("names", tld, month), month_i)
     exec_rng = bank.stream("exec", tld, month)
@@ -598,8 +590,6 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
             request_at = lifecycle.zone_added_at + plan.cert.delay_after_publish
             cert_events.append((request_at, plan.domain,
                                 plan.cert.extra_sans or None, None))
-        if checkpoint is not None:
-            checkpoint()
     for ghost in ghosts:
         # Scenario-planned ghosts arrive with their CA pinned (drawn
         # from the scenario stream); only calibrated ghosts draw from
@@ -644,27 +634,11 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                 config.window.duration)
             cert_events.append((request_at, domain, None, ca_index))
             stats["held_domains"] += 1
-            if checkpoint is not None:
-                checkpoint()
 
 
 # ---------------------------------------------------------------------------
-# Multi-core build: per-(tld, month) worker shards + streaming merge
+# Multi-core build: per-(tld, month) worker shards + whole-shard merge
 # ---------------------------------------------------------------------------
-
-#: Merge-chunk queue inherited by forked pool workers.  The parent
-#: sets it immediately before creating the pool (and clears it after):
-#: a fork-inherited module global is the only channel that reaches
-#: ``ProcessPoolExecutor`` workers without riding the task pickles —
-#: ``multiprocessing.Queue`` cannot be pickled through ``submit()``.
-#: Under a non-fork start method it stays ``None`` in the workers and
-#: chunks ride the future results instead.
-_CHUNK_QUEUE = None
-
-#: Seconds without merge progress (no future completion, no chunk
-#: arrival) after which the supervisor stops waiting for in-flight
-#: chunks and rebuilds the unsettled shards in-process.
-_CHUNK_STALL_SEC = 10.0
 
 
 def shard_keys(targets: Dict[str, TLDTargets]) -> List[ShardKey]:
@@ -685,8 +659,7 @@ def shard_label(key: ShardKey) -> str:
 
 
 def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
-                        month: str, capick_offset: int,
-                        chunk_sink: Optional[Callable] = None):
+                        month: str, capick_offset: int) -> ShardArrays:
     """Build one shard against private substrates; return compact arrays.
 
     The process-agnostic shard core: reconstructs the scenario's
@@ -696,16 +669,8 @@ def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
     registration rows, dirty zone ticks, DZDB intervals, DV-token
     seeds (by CA index), certificate-request events, and counters.  No
     lifecycle, CA, or timeline object crosses the process boundary.
-
-    With a ``chunk_sink``, completed lifecycle rows are flushed as
-    ``chunk_sink(seq, rows)`` in deterministic
-    ``config.merge_chunk_rows``-sized chunks *while the shard is still
-    populating* (rows at a checkpoint are final), and the returned
-    row field is ``None`` — the result then carries only the chunk
-    count, which the parent uses to detect completeness.  Chunk
-    boundaries depend only on the config, so a retried or rebuilt
-    shard reproduces byte-identical chunks and the parent can dedup by
-    sequence number.
+    The arrays depend only on the config and the shard, so a retried
+    or rebuilt shard returns the identical result.
 
     Both the pool worker (:func:`_build_shard_worker`) and the
     supervisor's in-process serial fallback for a poison shard call
@@ -719,37 +684,15 @@ def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
     tokens: List[Tuple[int, str, int]] = []
     cert_events: List[CertEvent] = []
     stats = dict.fromkeys(_STAT_KEYS, 0)
-    exported = 0
-    chunks = 0
-    chunk_rows = config.merge_chunk_rows
-
-    def flush_ready() -> None:
-        nonlocal exported, chunks
-        while len(registry) - exported >= chunk_rows:
-            rows = lifecycle_rows(registry, exported, exported + chunk_rows)
-            chunk_sink(chunks, rows)
-            chunks += 1
-            exported += len(rows)
-
     with span("build.populate_shard", tld=tld_targets.tld,
               month=month) as sp:
         _populate_shard(
             config, tld_targets, month, bank, registry, dzdb,
             lambda index, domain, ts: tokens.append((index, domain, ts)),
-            cert_events, stats,
-            checkpoint=flush_ready if chunk_sink is not None else None)
+            cert_events, stats)
         sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
-    if chunk_sink is not None:
-        rest = lifecycle_rows(registry, exported)
-        if rest:
-            chunk_sink(chunks, rest)
-            chunks += 1
-        rows_out = None
-    else:
-        rows_out = lifecycle_rows(registry)
-    return ((tld_targets.tld, month), rows_out, chunks,
-            tuple(registry.dirty_tick_indices()), dzdb.export_rows(),
-            tokens, cert_events, stats)
+    return (lifecycle_rows(registry), tuple(registry.dirty_tick_indices()),
+            dzdb.export_rows(), tokens, cert_events, stats)
 
 
 def _build_shard_worker(
@@ -770,11 +713,6 @@ def _build_shard_worker(
     injection decision is a pure function of ``(plan seed, tld,
     month, attempt)``, so retries of the same shard re-roll
     deterministically.
-
-    When the parent set up a fork-inherited chunk queue
-    (:data:`_CHUNK_QUEUE`), completed lifecycle rows stream back
-    through it in bounded chunks while the shard is still building;
-    otherwise they ride the returned result whole.
 
     The worker instruments itself: its (forked) process tracer is
     reset and records a ``build.populate_shard`` span, and when the
@@ -801,22 +739,6 @@ def _build_shard_worker(
                       target=label, attempt=attempt):
             raise WorkerCrashError(
                 f"injected worker crash: shard {label} attempt {attempt}")
-    chunk_queue = _CHUNK_QUEUE
-    chunk_sink = None
-    if chunk_queue is not None:
-        # Never let this process's exit block on flushing the chunk
-        # pipe: an abandoned (deadline-overrun) worker keeps pushing
-        # duplicate chunks after the parent has stopped draining, and
-        # with the default exit-join its feeder thread deadlocks the
-        # whole pool shutdown on the full pipe.  Unflushed chunks are
-        # disposable — the parent dedups by sequence number and the
-        # stall guard / serial fallback rebuild anything lost.
-        chunk_queue.cancel_join_thread()
-        key = (tld, month)
-
-        def chunk_sink(seq, rows, _key=key, _put=chunk_queue.put):
-            _put((_key, seq, rows))
-
     profiler: Optional[SamplingProfiler] = None
     if profile_interval is not None:
         profiler = SamplingProfiler(interval=profile_interval).start()
@@ -830,12 +752,11 @@ def _build_shard_worker(
     try:
         configure_interner(4 * tld_targets.total_nrd + 10_000)
         arrays = _build_shard_arrays(config, tld_targets, month,
-                                     capick_offset, chunk_sink=chunk_sink)
+                                     capick_offset)
         if profiler is not None:
             profiler.stop()
-        return arrays + (os.getpid(), trace.export_records(),
-                         profiler.export_counts()
-                         if profiler is not None else [])
+        return (arrays, os.getpid(), trace.export_records(),
+                profiler.export_counts() if profiler is not None else [])
     finally:
         if profiler is not None:
             profiler.stop()
@@ -867,20 +788,17 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     submitted in LPT order (:func:`lpt_order` over
     :func:`shard_estimates`), so the biggest months start first.
 
-    Lifecycle rows — the bulk of the merge — *stream* back in bounded
-    chunks through a fork-inherited queue while shards are still
-    building, and are applied the moment they are applicable: a TLD's
-    months must enter its registry in chronological order (insertion
-    order is canonical), so chunks apply in ``(month, seq)`` order per
-    TLD, with later months buffering only until their predecessors
-    finish.  Merging thus overlaps even the largest shard's build
-    instead of waiting for its result pickle.  Everything whose
-    *scenario-global* order could depend on worker timing — DZDB
-    intervals, DV-token seeds, counters — is buffered and applied in
-    canonical ``(tld, month)`` order at the end, so the built world is
-    identical run to run and to the serial build, byte for byte.
-    (Certificate events need no buffering: the builder sorts them on
-    the unique ``(ts, domain)`` key before executing.)
+    Each shard's result carries its lifecycle rows whole, and rows are
+    applied as soon as they are applicable: a TLD's months must enter
+    its registry in chronological order (insertion order is
+    canonical), so a landed month waits only until its predecessors
+    have merged.  Everything whose *scenario-global* order could
+    depend on worker timing — DZDB intervals, DV-token seeds,
+    counters — is buffered and applied in canonical ``(tld, month)``
+    order at the end, so the built world is identical run to run and
+    to the serial build, byte for byte.  (Certificate events need no
+    buffering: the builder sorts them on the unique ``(ts, domain)``
+    key before executing.)
 
     Telemetry stitching: each completed shard carries the worker's
     finished span records and (when profiling) its collapsed-stack
@@ -888,7 +806,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     ``merge_span`` with a stable ``worker=N`` label (N = arrival order
     of the worker pid, labels only — never fingerprinted); profile
     counts fold into the parent's active profiler.  ``on_rows`` is the
-    live-progress hook, called with each applied chunk's row count;
+    live-progress hook, called with each merged shard's row count;
     the ``progress`` gauges additionally expose ``shards done/total``
     and the longest-in-flight shard label for the heartbeat.
 
@@ -898,20 +816,16 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     that is still failing then is rebuilt in-process via
     :func:`_build_shard_arrays` (``config.serial_fallback``, the
     default) or the build raises
-    :class:`~repro.errors.ShardRetryExhausted`.  Chunks already
-    applied from a failed attempt are *kept*: chunk boundaries and
-    contents are deterministic, so the retry re-produces identical
-    chunks and the sequence-number dedup makes recovery idempotent.
-    Recovery is therefore invisible to the world bytes: the
-    fingerprint under injected crashes equals the fault-free one
-    (``docs/resilience.md``).
+    :class:`~repro.errors.ShardRetryExhausted`.  A worker that dies at
+    the OS level breaks the whole pool; every shard without a result
+    then takes the same serial fallback.  Nothing from a failed
+    attempt is applied and shard results are deterministic, so
+    recovery is invisible to the world bytes: the fingerprint under
+    injected crashes equals the fault-free one (``docs/resilience.md``).
     """
     import multiprocessing
-    import queue as queue_mod
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
-
-    global _CHUNK_QUEUE
 
     profiler = profiler_active()
     profile_interval = None
@@ -936,12 +850,10 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         offset += counts[key]
     submission = lpt_order(shard_estimates(config, targets))
     # fork keeps worker start-up (re-import, re-calibration) off the
-    # critical path where the platform allows it, and is what lets the
-    # chunk queue be inherited rather than pickled.
+    # critical path where the platform allows it.
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else None)
-    chunk_queue = context.Queue() if "fork" in methods else None
 
     trace = tracer()
     worker_ids: Dict[int, int] = {}
@@ -951,27 +863,16 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     progress = build_progress()
 
     months = cal.MONTH_KEYS
-    #: Per-TLD merge cursor: index of the month whose shard must finish
-    #: applying before the next month's rows may enter the registry.
+    #: Per-TLD merge cursor: index of the month whose shard must merge
+    #: before the next month's rows may enter the registry.
     month_pos: Dict[str, int] = {tld: 0 for tld in sorted(targets)}
-    #: Next chunk sequence number to apply, per shard.
-    next_seq: Dict[ShardKey, int] = {key: 0 for key in keys}
-    #: Arrived-but-unapplied chunks, per shard, keyed by sequence.
-    buffered: Dict[ShardKey, Dict[int, list]] = {key: {} for key in keys}
-    #: Total chunk count of a shard (known once its result lands).
-    total_chunks: Dict[ShardKey, int] = {}
-    #: Completed shard trailers awaiting in-order application:
-    #: (rows|None, dirty_ticks, dzdb_rows, tokens, events, stats).
-    trailing: Dict[ShardKey, tuple] = {}
-    #: Fully merged shards (rows + trailer applied).
-    merged: Set[ShardKey] = set()
-    #: Scenario-global results, applied in canonical order at the end.
+    #: Landed shard results awaiting in-order application.
+    landed: Dict[ShardKey, ShardArrays] = {}
+    #: Merged shards' scenario-global results, applied in canonical
+    #: order at the end.
     deferred: Dict[ShardKey, tuple] = {}
     #: Poison shards headed for the in-process serial fallback.
     fallback: Set[ShardKey] = set()
-    #: Monotone progress counter (chunk arrivals + future completions);
-    #: the stall guard watches it while only chunks remain in flight.
-    ticks = 0
 
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
     pending: Dict[object, Tuple[ShardKey, int, float]] = {}
@@ -979,7 +880,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     #: slot may still be burning, so shutdown must not wait on them.
     abandoned = 0
 
-    progress.set_shards_source(lambda: (len(merged), len(keys)))
+    progress.set_shards_source(lambda: (len(deferred), len(keys)))
 
     def _slowest_shard() -> str:
         entries = list(pending.values())
@@ -990,87 +891,30 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
 
     progress.set_current_shard_source(_slowest_shard)
 
-    def accept_chunk(key: ShardKey, seq: int, rows: list) -> None:
-        nonlocal ticks
-        # Dedup: retries and abandoned-but-still-running workers push
-        # byte-identical chunks; anything already applied or buffered
-        # is dropped here, which is what makes recovery idempotent.
-        if seq >= next_seq[key] and seq not in buffered[key]:
-            buffered[key][seq] = rows
-            ticks += 1
-
-    def drain_queue(block_sec: float) -> None:
-        if chunk_queue is None:
-            return
-        try:
-            message = (chunk_queue.get(timeout=block_sec) if block_sec > 0
-                       else chunk_queue.get_nowait())
-        except queue_mod.Empty:
-            return
-        except (OSError, EOFError):    # reader hiccup: retry next pass
-            return
-        while True:
-            accept_chunk(*message)
-            try:
-                message = chunk_queue.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                return
-
     def advance_merge() -> None:
-        # Apply every applicable chunk: per TLD, months strictly in
-        # chronological order (registry insertion order is canonical),
-        # chunks in sequence order within a month.
-        for tld, registry_tld in ((t, registries.get(t)) for t in month_pos):
-            while True:
-                pos = month_pos[tld]
-                if pos >= len(months):
-                    break
+        # Apply every applicable shard: per TLD, months strictly in
+        # chronological order (registry insertion order is canonical).
+        for tld, pos in month_pos.items():
+            registry_tld = registries.get(tld)
+            while pos < len(months) and (tld, months[pos]) in landed:
                 key = (tld, months[pos])
-                chunks = buffered[key]
-                while next_seq[key] in chunks:
-                    rows = chunks.pop(next_seq[key])
-                    registry_tld.register_many(rows)
-                    next_seq[key] += 1
-                    if on_rows is not None:
-                        on_rows(len(rows))
-                if (key not in trailing
-                        or total_chunks.get(key) != next_seq[key]):
-                    break   # shard incomplete or chunks still in flight
-                (rows_whole, dirty_ticks, dzdb_rows, tokens, shard_events,
-                 shard_stats) = trailing.pop(key)
-                if rows_whole is not None:   # non-streaming result
-                    registry_tld.register_many(rows_whole)
-                    if on_rows is not None:
-                        on_rows(len(rows_whole))
-                registry_tld.register_many((), dirty_ticks)
+                (rows, dirty_ticks, dzdb_rows, tokens, shard_events,
+                 shard_stats) = landed.pop(key)
+                registry_tld.register_many(rows, dirty_ticks)
+                if on_rows is not None:
+                    on_rows(len(rows))
                 cert_events.extend(shard_events)
                 deferred[key] = (dzdb_rows, tokens, shard_stats)
-                merged.add(key)
-                buffered[key].clear()
-                month_pos[tld] = pos + 1
+                pos += 1
+            month_pos[tld] = pos
 
-    def record_result(result) -> None:
-        nonlocal ticks
-        (key, rows_whole, n_chunks, dirty_ticks, dzdb_rows, tokens,
-         shard_events, shard_stats, worker_pid, span_records,
-         profile_counts) = result
+    def record_result(key: ShardKey, result) -> None:
+        arrays, worker_pid, span_records, profile_counts = result
         worker = worker_ids.setdefault(worker_pid, len(worker_ids))
         trace.adopt_spans(span_records, parent=merge_span, worker=worker)
         if profiler is not None and profile_counts:
             profiler.merge_counts(profile_counts)
-        total_chunks[key] = n_chunks
-        trailing[key] = (rows_whole, dirty_ticks, dzdb_rows, tokens,
-                         shard_events, shard_stats)
-        ticks += 1
-
-    def resolved(key: ShardKey) -> bool:
-        """Nothing left to wait for: merged, routed to fallback, or
-        result landed with every chunk applied or buffered."""
-        if key in merged or key in fallback:
-            return True
-        if key not in total_chunks:
-            return False
-        return next_seq[key] + len(buffered[key]) >= total_chunks[key]
+        landed[key] = arrays
 
     def handle_failure(key: ShardKey, attempt: int, reason: str,
                        resubmit: Callable[[ShardKey, int], None]) -> None:
@@ -1103,81 +947,48 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         future = pool.submit(_build_shard_worker, payloads[key] + (attempt,))
         pending[future] = (key, attempt, time.monotonic())
 
-    _CHUNK_QUEUE = chunk_queue
     try:
         for key in submission:
             submit(key, 0)
-        stall_t0 = time.monotonic()
-        stall_ticks = ticks
-        while True:
-            advance_merge()
-            if all(resolved(key) for key in keys):
-                break
-            if chunk_queue is not None:
-                # Streamed chunks are the main-loop heartbeat: block
-                # briefly on the queue, then poll futures without
-                # blocking (deadline granularity is the 50 ms wait).
-                drain_queue(0.05)
-                timeout: Optional[float] = 0
-            else:
-                timeout = None
-                if deadline is not None and pending:
-                    next_overrun = min(t0 + deadline
-                                       for _, _, t0 in pending.values())
-                    timeout = max(0.01, next_overrun - time.monotonic())
-            if pending:
-                done, _ = wait(set(pending), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    key, attempt, _t0 = pending[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        raise  # every in-flight shard is lost; see below
-                    except Exception as exc:
+        while pending:
+            timeout = None
+            if deadline is not None:
+                next_overrun = min(t0 + deadline
+                                   for _, _, t0 in pending.values())
+                timeout = max(0.01, next_overrun - time.monotonic())
+            done, _ = wait(set(pending), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            for future in done:
+                key, attempt, _t0 = pending.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    raise  # every in-flight shard is lost; see below
+                except Exception as exc:
+                    if isinstance(exc, WorkerCrashError):
+                        metrics.faults_injected.labels(
+                            kind="worker.crash").inc()
+                    handle_failure(key, attempt, "crash", submit)
+                    continue
+                record_result(key, result)
+            if deadline is not None:
+                now = time.monotonic()
+                for future, (key, attempt, t0) in list(pending.items()):
+                    if now - t0 >= deadline:
                         pending.pop(future)
-                        if isinstance(exc, WorkerCrashError):
-                            metrics.faults_injected.labels(
-                                kind="worker.crash").inc()
-                        handle_failure(key, attempt, "crash", submit)
-                        continue
-                    pending.pop(future)
-                    record_result(result)
-                if deadline is not None:
-                    now = time.monotonic()
-                    for future, (key, attempt, t0) in list(pending.items()):
-                        if now - t0 >= deadline:
-                            pending.pop(future)
-                            if not future.cancel():
-                                abandoned += 1
-                            handle_failure(key, attempt, "deadline", submit)
-            else:
-                # Every future is accounted for; only in-flight queue
-                # chunks (a worker's feeder thread) can still settle
-                # the rest.  Guard against a lost chunk with a stall
-                # timer rather than spinning forever.
-                if ticks != stall_ticks:
-                    stall_t0, stall_ticks = time.monotonic(), ticks
-                elif time.monotonic() - stall_t0 > _CHUNK_STALL_SEC:
-                    stuck = [key for key in keys if not resolved(key)]
-                    log.error("merge chunks stalled; rebuilding "
-                              "unsettled shards in-process",
-                              shards=",".join(map(shard_label, stuck)))
-                    for key in stuck:
-                        metrics.worker_failures.labels(
-                            reason="chunk_stall").inc()
-                        metrics.serial_fallbacks.inc()
-                    fallback.update(stuck)
+                        if not future.cancel():
+                            abandoned += 1
+                        handle_failure(key, attempt, "deadline", submit)
+            advance_merge()
     except BrokenProcessPool:
         # A worker died at the OS level (segfault, OOM kill): the pool
-        # is unusable, every in-flight shard is lost, and chunks still
-        # sitting in dead feeder threads will never arrive.  Route
-        # everything unsettled through the serial fallback rather than
-        # killing the run (already-applied chunks are kept — the
-        # rebuild's identical chunks dedup against them).
+        # is unusable and every in-flight shard is lost.  Route every
+        # shard without a result through the serial fallback rather
+        # than killing the run.
         pending.clear()
-        drain_queue(0)    # salvage whatever reached the pipe intact
-        lost = [key for key in keys if not resolved(key)]
+        lost = [key for key in keys
+                if key not in deferred and key not in landed
+                and key not in fallback]
         if not config.serial_fallback:
             raise ShardRetryExhausted(
                 "worker pool broke; lost shards: "
@@ -1189,33 +1000,23 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             metrics.serial_fallbacks.inc()
         fallback.update(lost)
     finally:
-        _CHUNK_QUEUE = None
         # A worker abandoned past its deadline may still be burning a
         # slot; only wait for the pool when every worker is accounted
         # for (orphans are joined at interpreter exit).
         pool.shutdown(wait=abandoned == 0, cancel_futures=True)
 
     # Settle the stragglers in canonical order: rebuild poison shards
-    # in-process (their chunks land in the same dedup path), and let
-    # each settled shard unblock the buffered months behind it.
+    # in-process, and let each settled shard unblock the landed months
+    # behind it.
     for key in keys:
-        if key in merged:
-            continue
         if key in fallback:
             with span("recovery.serial_fallback", tld=key[0],
                       month=key[1]):
-                result = _build_shard_arrays(
-                    config, targets[key[0]], key[1], offsets[key],
-                    chunk_sink=lambda seq, rows, _key=key:
-                        accept_chunk(_key, seq, rows))
-            (_key, rows_whole, n_chunks, dirty_ticks, dzdb_rows, tokens,
-             shard_events, shard_stats) = result
-            total_chunks[key] = n_chunks
-            trailing[key] = (rows_whole, dirty_ticks, dzdb_rows, tokens,
-                             shard_events, shard_stats)
+                landed[key] = _build_shard_arrays(
+                    config, targets[key[0]], key[1], offsets[key])
         advance_merge()
-    if len(merged) != len(keys):    # impossible by construction; loud > quiet
-        missing = [shard_label(k) for k in keys if k not in merged]
+    if len(deferred) != len(keys):  # impossible by construction; loud > quiet
+        missing = [shard_label(k) for k in keys if k not in deferred]
         raise ShardRetryExhausted(
             f"shards never merged: {', '.join(missing)}")
 
@@ -1380,7 +1181,7 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     # per-shard draw counts are known up front.  So the serial and
     # multi-core paths run the SAME per-shard code (_populate_shard) —
     # serial against the live substrates in canonical shard order,
-    # parallel against worker-private ones whose rows stream back and
+    # parallel against worker-private ones whose whole-shard results
     # merge in canonical order.  Either way the resulting world is
     # bit-identical (docs/determinism.md).
     n_shards = len(targets) * len(cal.MONTH_KEYS)

@@ -9,6 +9,8 @@ says what was survived.
 """
 
 import json
+import multiprocessing
+import os
 import random
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from repro.serve.segments import (
 )
 from repro.serve.server import FeedServer, FeedServerConfig
 from repro.simtime.clock import HOUR, MINUTE
+from repro.workload import scenario
 from repro.workload.scenario import (
     ScenarioConfig,
     build_world,
@@ -371,6 +374,30 @@ class TestSupervisedBuild:
         assert fp == TINY_FINGERPRINT
         snap = get_resilience_metrics().snapshot()
         assert snap["resilience_worker_failures_total"]["deadline"] >= 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched shard builder reaches workers only by fork")
+    def test_broken_pool_serial_fallback(self, monkeypatch):
+        # A worker that dies at the OS level breaks the whole pool
+        # (BrokenProcessPool); every shard without a result is rebuilt
+        # in-process and the world is still bit-identical.
+        parent = os.getpid()
+        build = scenario._build_shard_arrays
+
+        def dying_build(config, tld_targets, month, capick_offset):
+            if os.getpid() != parent and (tld_targets.tld, month) == (
+                    "com", "2023-12"):
+                os._exit(1)
+            return build(config, tld_targets, month, capick_offset)
+
+        monkeypatch.setattr(scenario, "_build_shard_arrays", dying_build)
+        fp = self._fingerprint(parallel=2)
+        assert fp == TINY_FINGERPRINT
+        snap = get_resilience_metrics().snapshot()
+        lost = snap["resilience_worker_failures_total"]["pool_broken"]
+        assert 1 <= lost <= TINY_SHARDS
+        assert snap["resilience_serial_fallbacks_total"] == lost
 
     def test_fallback_disabled_raises(self):
         with pytest.raises(ShardRetryExhausted):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.simtime.rng import (
     CountingStream,
     RngStream,
-    SeedBank,
     StreamBank,
     WeightedSampler,
     derive_seed,
@@ -108,17 +107,17 @@ class TestRngStream:
 
 class TestSeedBank:
     def test_memoises_streams(self):
-        bank = SeedBank(7)
+        bank = StreamBank(7)
         assert bank.stream("a") is bank.stream("a")
 
     def test_fresh_streams_restart(self):
-        bank = SeedBank(7)
+        bank = StreamBank(7)
         first = bank.fresh("x").random()
         again = bank.fresh("x").random()
         assert first == again
 
     def test_memoised_stream_advances(self):
-        bank = SeedBank(7)
+        bank = StreamBank(7)
         first = bank.stream("x").random()
         second = bank.stream("x").random()
         assert first != second
@@ -361,9 +360,6 @@ class TestCountingStream:
 
 
 class TestStreamBank:
-    def test_seedbank_alias(self):
-        assert SeedBank is StreamBank
-
     def test_fast_forward_matches_stream_method(self):
         jumped = StreamBank(7)
         jumped.fast_forward(("capick",), 17)
