@@ -119,13 +119,8 @@ def run_build(inv_scale: int = INV_SCALE, seed: int = SEED,
         report["fingerprint_sec"] = round(time.perf_counter() - start, 4)
     if pipeline:
         from repro.core.pipeline import run_pipeline
-        from repro.workload.scenario import _gc_paused
         start = time.perf_counter()
-        # The same GC pause build_world uses: at paper scale the heap
-        # holds tens of millions of live objects and cyclic collections
-        # during the measurement run only re-scan them.
-        with _gc_paused():
-            result = run_pipeline(world)
+        result = run_pipeline(world)
         report["pipeline_sec"] = round(time.perf_counter() - start, 4)
         report["candidates"] = len(result.candidates)
         report["confirmed_transients"] = len(result.confirmed_transients)

@@ -29,6 +29,7 @@ from repro.core.records import PipelineResult
 from repro.core.transient import TransientClassifier
 from repro.core.validate import Validator, ValidatorConfig
 from repro.dnscore.psl import PublicSuffixList
+from repro.heap import gc_paused
 from repro.obs.observers import observe_pipeline_result
 from repro.obs.spans import span
 from repro.workload.scenario import World
@@ -95,8 +96,14 @@ class DarkDNSPipeline:
 
         Each stage also publishes to its broker topic as it runs, and
         an attached ``serve`` hook is pumped once the public feed is
-        on the wire.
+        on the wire.  The whole run holds the cyclic GC paused and
+        freezes its results on success, like :func:`build_world`; see
+        :func:`repro.heap.gc_paused`.
         """
+        with gc_paused():
+            return self._run()
+
+    def _run(self) -> PipelineResult:
         world = self.world
         config = self.config
         window = world.window

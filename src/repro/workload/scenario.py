@@ -15,7 +15,6 @@ import gc
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -32,6 +31,7 @@ from repro.errors import (
     ValidationError,
     WorkerCrashError,
 )
+from repro.heap import gc_paused
 from repro.intel.blocklist import BlocklistPanel
 from repro.intel.labels import GroundTruth
 from repro.intel.nod import NODFeed
@@ -744,7 +744,7 @@ def _build_shard_worker(
         profiler = SamplingProfiler(interval=profile_interval).start()
     was_enabled = gc.isenabled()
     if was_enabled:
-        # Same rationale as the parent's _gc_paused: everything this
+        # Same rationale as the parent's gc_paused: everything this
         # worker allocates stays live until the shard is pickled back,
         # so cyclic collections only re-scan a growing heap.  The
         # process exits right after, so no freeze/restore dance.
@@ -1029,59 +1029,6 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             stats[stat_key] += value
 
 
-@contextmanager
-def _gc_paused():
-    """Suspend the cyclic GC while a world is materialised.
-
-    World construction allocates millions of container objects that all
-    stay live until the world is returned, so generation-0 collections
-    triggered by the allocation count only re-scan a monotonically
-    growing heap — ≈25 % of build time for zero reclaimed memory.
-    Refcounting still frees temporaries; the caller's GC state is
-    restored on exit.
-
-    On a *successful* build the tracked heap is then ``gc.freeze()``-d
-    into the permanent generation (see below).  That call is
-    process-global: objects the embedding process holds at this moment
-    are exempted from future cycle collection too.  Worlds are acyclic
-    and refcount-freed, so the engine itself leaks nothing; a host
-    that routinely builds worlds *and* relies on collecting large
-    cyclic structures created before the build should disable GC
-    around :func:`build_world` itself (this pause then becomes a
-    no-op, and no freeze happens).
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        # Collect *before* pausing: the freeze() below permanently
-        # exempts everything currently tracked from collection, so any
-        # pre-existing cyclic garbage must be reaped first (the
-        # documented collect-then-freeze pattern).  Prior worlds are
-        # already frozen, so this pass only scans the small unfrozen
-        # residue.
-        gc.collect()
-        gc.disable()
-    completed = False
-    try:
-        yield
-        completed = True
-    finally:
-        if was_enabled:
-            # The freshly materialised world (and the names interned
-            # while building it) is live for the rest of the process,
-            # but it all sits in generation 0 when collection resumes:
-            # the first measurement-phase collections would re-scan
-            # millions of permanent objects and dominate step-1 wall
-            # time (~3 s at 1/100 scale).  freeze() moves everything
-            # tracked into the permanent generation in O(1) — objects
-            # are still freed by refcounting; world construction
-            # creates no cycles of its own.  A build that *failed*
-            # only re-enables collection: its half-built heap is
-            # garbage and must stay collectable.
-            if completed:
-                gc.freeze()
-            gc.enable()
-
-
 def build_world(config: Optional[ScenarioConfig] = None) -> World:
     """Construct and populate a scenario world.
 
@@ -1101,9 +1048,10 @@ def build_world(config: Optional[ScenarioConfig] = None) -> World:
     ``parallel`` setting, so the multi-core build is a pure wall-clock
     lever (the contract and its mechanics live in
     ``docs/determinism.md``).  The cyclic GC is paused while the world
-    materialises and the finished heap is frozen; see :func:`_gc_paused`.
+    materialises and the finished heap is frozen; see
+    :func:`repro.heap.gc_paused`.
     """
-    with _gc_paused():
+    with gc_paused():
         with span("build.world") as sp:
             try:
                 world = _build_world(config)

@@ -6,6 +6,8 @@ fixtures are session-scoped; tests must not mutate fixture worlds.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -34,3 +36,29 @@ def small_world():
 @pytest.fixture(scope="session")
 def small_result(small_world):
     return run_pipeline(small_world)
+
+
+@pytest.fixture
+def gc_starts():
+    """Hand the test an enabled collector and a collection recorder.
+
+    Yields the list of generations whose collections *start* while the
+    hook is installed; the caller's GC state is restored afterwards.
+    """
+    was_enabled = gc.isenabled()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        yield starts
+    finally:
+        gc.callbacks.remove(hook)
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()

@@ -1,9 +1,12 @@
 """Tests for the pipeline steps and the end-to-end run."""
 
+import gc
+
 import pytest
 
 from repro.core.ctdetect import CTDetector
 from repro.core.feed import FeedRecord, PublicFeed
+from repro.core.monitor import MonitorConfig
 from repro.core.pipeline import DarkDNSPipeline, PipelineConfig, run_pipeline
 from repro.core.rdap_collect import RDAPCollector, RDAPCollectorConfig
 from repro.core.records import Candidate
@@ -201,6 +204,14 @@ class TestEndToEnd:
                       TOPIC_FEED):
             assert broker.topic(topic).total_messages() > 0
 
+    def test_funnel_monotone(self, small_result):
+        stats = small_result.stats
+        assert (stats["names_seen"] >= stats["candidates"]
+                == stats["rdap_queries"] >= stats["monitored"]
+                >= stats["transient_candidates"]
+                >= stats["confirmed_transients"])
+        assert stats["rdap_failures"] <= stats["rdap_queries"]
+
     def test_stats_consistent(self, small_result):
         stats = small_result.stats
         assert stats["candidates"] == len(small_result.candidates)
@@ -219,10 +230,37 @@ class TestEndToEnd:
         assert result.monitors == {}
 
     def test_loop_strategy_small(self, tiny_world):
-        from repro.core.monitor import MonitorConfig
         config = PipelineConfig(
             monitor_strategy="loop",
             monitor=MonitorConfig(probe_interval=30 * MINUTE,
                                   duration=2 * HOUR))
         result = run_pipeline(tiny_world, config)
         assert result.monitors
+
+
+class TestGCQuiet:
+    """The run holds the cyclic GC paused; the freeze after it is safe
+    only while the pipeline's object graph stays acyclic."""
+
+    def test_no_collection_during_run(self, tiny_world, gc_starts):
+        gc.collect()  # reset the gen-0 count before recording
+        del gc_starts[:]
+        run_pipeline(tiny_world)
+        assert gc_starts == [2]  # only the pause's entry collect
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("strategy", ["analytic", "scan", "loop"])
+    def test_run_leaves_no_cyclic_garbage(self, tiny_world, strategy):
+        config = PipelineConfig(
+            monitor_strategy=strategy,
+            monitor=MonitorConfig(probe_interval=30 * MINUTE,
+                                  duration=2 * HOUR))
+        was_enabled = gc.isenabled()
+        gc.disable()  # caller-disabled: no freeze, everything collectable
+        try:
+            gc.collect()
+            run_pipeline(tiny_world, config)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
