@@ -22,7 +22,7 @@ goldens at the canonical point)::
 goldens and fails on any mismatch, any jobs=1 ≢ jobs=2 divergence, any
 unmet observer expectation, or a total wall time above ``--budget-sec``
 (the CI scenario-matrix job runs this; the budget keeps the matrix
-under the bench-smoke wall time).
+a quick CI job).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.workload.scenario import (
 from repro.workload.scenarios import parse_scenario_spec, scenario_names
 
 #: The canonical matrix point: small enough that the full six-scenario
-#: matrix (12 builds + 6 pipelines) stays under the bench-smoke budget.
+#: matrix (12 builds + 6 pipelines) stays under ``BUDGET_SEC``.
 INV_SCALE = 2000
 SEED = 7
 

@@ -255,7 +255,7 @@ class NameTable:
       check retains the probed name.  Inside the simulation every
       probed name comes from the generator, but a service feeding this
       table unbounded external input (a real certstream) should front
-      it with its own admission policy — see the ROADMAP item.
+      it with its own admission policy.
     * ``_aliases`` — non-canonical spelling (``"Ex.COM."``) → Name, a
       bounded convenience memo (cleared wholesale when full, like the
       registry's NS-set cache).  Pipeline-generated names are already

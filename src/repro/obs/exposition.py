@@ -15,7 +15,7 @@ Plus the inverse tooling the tests and CI lint ride on:
   exact enough for a round-trip property test;
 * :func:`lint_prometheus` — a format lint (name syntax, TYPE-before-
   sample discipline, histogram series completeness, monotone buckets)
-  used by the CI bench-smoke job.
+  used by the CI observability-smoke job.
 
 Metric names are assembled as ``<prefix>_<group>_<metric>`` with every
 non-``[a-zA-Z0-9_:]`` character collapsed to ``_`` — the span phase

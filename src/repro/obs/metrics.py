@@ -3,9 +3,7 @@
 The telemetry layer every subsystem shares: :class:`Counter`,
 :class:`Gauge`, and :class:`Histogram` primitives (with optional label
 dimensions on counters and gauges) plus the :class:`MetricsRegistry`
-that groups them per subsystem.  ``repro.serve.metrics`` and
-``repro.scan.metrics`` re-export the primitives, so the pre-``obs``
-import paths keep working; :func:`get_registry` returns the default
+that groups them per subsystem.  :func:`get_registry` returns the default
 process-wide registry that exposition (``repro.obs.exposition``), the
 ``repro metrics`` CLI command, and ``--metrics-out`` all read.
 

@@ -1,11 +1,11 @@
 """Standing observers: rolling baselines, significance, mass events.
 
-The anomaly-detection layer over pipeline/scan output streams (ROADMAP
-item 4b, after the ``world-observer`` significance model): each named
-*series* — daily CT-candidate counts, dark-host counts, confirmed
-transients — runs under a :class:`SeriesObserver` holding a rolling
-baseline of the last *N* points.  A new point is **significant** when
-either detector triggers against that baseline:
+The anomaly-detection layer over pipeline/scan output streams (after
+the ``world-observer`` significance model): each named *series* —
+daily CT-candidate counts, dark-host counts, confirmed transients —
+runs under a :class:`SeriesObserver` holding a rolling baseline of the
+last *N* points.  A new point is **significant** when either detector
+triggers against that baseline:
 
 * **z-score** — ``|value - mean| / max(std, std_floor) > sigma_mult``;
 * **step change** — ``|value - mean| / mean * 100 >= step_threshold_pct``

@@ -7,16 +7,14 @@ the call stack it sees.  Each sample is attributed to the *innermost
 active span* of the tracer at that instant (via
 :meth:`~repro.obs.spans.Tracer.current_span`), so the output answers
 "where inside ``build.populate_shard`` does the time actually go" — the
-profiling evidence the compiled-hot-core work (ROADMAP item 2) needs.
+evidence any hot-path optimisation needs before it starts.
 
 Output formats:
 
 * :meth:`collapsed` / :meth:`write_collapsed` — flamegraph-compatible
   collapsed stacks, one ``frame;frame;...;leaf count`` line per
   distinct stack, with the attributed phase as the root frame
-  (``flamegraph.pl`` and speedscope both read this directly);
-* :meth:`top_frames` — a per-phase table of the hottest *leaf* frames,
-  the quick textual answer.
+  (``flamegraph.pl`` and speedscope both read this directly).
 
 Design constraints, matching the rest of ``repro.obs``:
 
@@ -27,7 +25,7 @@ Design constraints, matching the rest of ``repro.obs``:
   sample.  At the default 10 ms interval (100 Hz, py-spy's default)
   the measured overhead on the 1/500 build stays under the 5 %
   acceptance budget even with every worker of a multi-core build
-  sampling itself (``bench_world.py --span-overhead`` reports it);
+  sampling itself;
 * **idempotent** — :meth:`start` on a running profiler and
   :meth:`stop` on a stopped one are no-ops, so CLI wiring never has to
   track profiler state.
@@ -198,35 +196,6 @@ class SamplingProfiler:
                 handle.write(line + "\n")
         return len(lines)
 
-    def top_frames(self, limit: int = 10) -> Dict[str, List[Tuple[str, int]]]:
-        """Per-phase table of the hottest leaf frames.
-
-        Returns ``{phase: [(frame, samples), ...]}`` with at most
-        ``limit`` frames per phase, hottest first — the quick textual
-        "where does this phase spend its time" answer.
-        """
-        per_phase: Dict[str, Dict[str, int]] = {}
-        with self._lock:
-            items = list(self._counts.items())
-        for stack, count in items:
-            frames = stack.split(";")
-            phase, leaf = frames[0], frames[-1]
-            bucket = per_phase.setdefault(phase, {})
-            bucket[leaf] = bucket.get(leaf, 0) + count
-        return {phase: sorted(bucket.items(),
-                              key=lambda kv: (-kv[1], kv[0]))[:limit]
-                for phase, bucket in sorted(per_phase.items())}
-
-    def phase_samples(self) -> Dict[str, int]:
-        """Total samples per attributed phase."""
-        totals: Dict[str, int] = {}
-        with self._lock:
-            items = list(self._counts.items())
-        for stack, count in items:
-            phase = stack.split(";", 1)[0]
-            totals[phase] = totals.get(phase, 0) + count
-        return totals
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "running" if self.running else "stopped"
         return (f"SamplingProfiler(interval={self.interval}, "
@@ -249,7 +218,7 @@ def profiling(path=None, interval: float = SamplingProfiler.DEFAULT_INTERVAL):
 
     >>> with profiling() as prof:       # doctest: +SKIP
     ...     build_world(config)
-    >>> prof.top_frames()               # doctest: +SKIP
+    >>> prof.collapsed()                # doctest: +SKIP
     """
     profiler = SamplingProfiler(interval=interval)
     profiler.start()

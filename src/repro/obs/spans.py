@@ -21,9 +21,8 @@ Design constraints, both load-bearing:
 * **cheap** — a span is two ``perf_counter`` calls, one ``getrusage``,
   and a few attribute writes.  Phases are coarse (a whole TLD
   population, a whole pipeline step), so the measured overhead on the
-  1/500 build bench stays well under the 2 % budget
-  (``bench_world.py --span-overhead``).  :func:`set_enabled` turns
-  tracing off entirely for the overhead measurement itself.
+  1/500 build stays well under the 2 % budget.  :func:`set_enabled`
+  turns tracing off entirely for the overhead measurement itself.
 
 Spans nest: the tracer keeps a stack, so each finished span records
 its parent id and depth.  The engine is single-threaded by design

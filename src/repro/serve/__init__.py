@@ -20,7 +20,7 @@ Quickstart::
 """
 
 from repro.serve.fanout import FanoutDispatcher, FanoutShard
-from repro.serve.metrics import Counter, Histogram, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.ratelimit import (
     DEFAULT_TIERS,
     RateLimiter,
@@ -36,8 +36,8 @@ from repro.serve.subscription import (
 )
 
 __all__ = [
-    "Counter", "DEFAULT_TIERS", "FanoutDispatcher", "FanoutShard",
-    "FeedServer", "FeedServerConfig", "FilterSpec", "Histogram",
-    "RateLimiter", "SegmentInfo", "SegmentedLog", "ServeMetrics",
-    "Subscription", "SubscriptionManager", "TierPolicy", "TokenBucket",
+    "DEFAULT_TIERS", "FanoutDispatcher", "FanoutShard", "FeedServer",
+    "FeedServerConfig", "FilterSpec", "RateLimiter", "SegmentInfo",
+    "SegmentedLog", "ServeMetrics", "Subscription", "SubscriptionManager",
+    "TierPolicy", "TokenBucket",
 ]

@@ -1,7 +1,7 @@
 """Per-client token-bucket rate limiting, by service tier.
 
 The paper's feed is an open public service; serving it to "millions of
-users" (ROADMAP) means nobody gets to monopolise delivery capacity.
+users" means nobody gets to monopolise delivery capacity.
 Each client owns a token bucket sized by its tier: tokens refill at a
 steady per-second rate up to a burst capacity, and each delivered
 record spends one token.  Buckets are lazily refilled from explicit

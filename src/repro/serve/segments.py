@@ -17,15 +17,17 @@ sealed segments keeping only the newest record per domain — the
 "current state" view consumers ask for when they do not care about
 history (the same contract as a Kafka compacted topic).
 
-Persistence is crash-safe (PR 8): segment files are written to a tmp
-file, fsynced, and atomically renamed into place, and every line
-carries a CRC32 column (``<json>\\t<crc32 hex>``).  :meth:`SegmentedLog.load`
-therefore **never raises** on a damaged directory: the longest clean
-prefix of each file is salvaged, torn tails are quarantined to a
-``.torn`` sidecar, later segments are re-based over any lost records,
-and all of it is counted in :meth:`SegmentedLog.stats` and the
-process-wide ``resilience`` metric group.  A ``log.torn_write`` fault
-plan tears writes deterministically to exercise exactly this path.
+Persistence is crash-safe: segment files are written to a tmp file,
+fsynced, and atomically renamed into place, and every line carries a
+CRC32 column (``<json>\\t<crc32 hex>``).  A line without a valid CRC
+column is corrupt.  :meth:`SegmentedLog.load` therefore **never
+raises** on a damaged directory: the longest clean prefix of each file
+is salvaged, torn tails (a CRC-less line counts as torn) are
+quarantined to a ``.torn`` sidecar, later segments are re-based over
+any lost records, and all of it is counted in
+:meth:`SegmentedLog.stats` and the process-wide ``resilience`` metric
+group.  A ``log.torn_write`` fault plan tears writes deterministically
+to exercise exactly this path.
 """
 
 from __future__ import annotations
@@ -56,13 +58,12 @@ def encode_segment_line(json_text: str) -> str:
 def decode_segment_line(line: str) -> str:
     """Verify a persisted line's CRC and return the JSON payload.
 
-    Lines without a CRC column (the pre-PR-8 format) pass through
-    unchecked.  Raises :class:`~repro.errors.SegmentCorruptionError`
-    on a checksum mismatch or an unparseable checksum field.
+    Raises :class:`~repro.errors.SegmentCorruptionError` on a missing
+    CRC column, a checksum mismatch or an unparseable checksum field.
     """
     text, sep, crc_hex = line.rpartition("\t")
     if not sep:
-        return line
+        raise SegmentCorruptionError("no CRC column")
     try:
         expected = int(crc_hex, 16)
     except ValueError:

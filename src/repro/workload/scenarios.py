@@ -1,10 +1,9 @@
 """Scenario plugin engine: composable adversarial worlds.
 
-ROADMAP item "scenario engine + observer layer", half (a): instead of
-forking :func:`~repro.workload.scenario.build_world` per experiment,
-a *scenario* is a small plugin that composes over the existing
-lifecycle/timeline machinery through three hooks, each running at a
-well-defined point of the (deterministic, multi-core) build:
+Instead of forking :func:`~repro.workload.scenario.build_world` per
+experiment, a *scenario* is a small plugin that composes over the
+existing lifecycle/timeline machinery through three hooks, each running
+at a well-defined point of the (deterministic, multi-core) build:
 
 * :meth:`Scenario.configure` — rewrite the :class:`ScenarioConfig`
   before any substrate exists (e.g. a slow registry publishing

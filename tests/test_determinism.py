@@ -39,6 +39,12 @@ GOLDEN_FINGERPRINTS = {
                        include_cctld=True, cctld_scale=1 / 100),
         "ca5aec293743bc948ebd8f8996d12028",
     ),
+    # The canonical 1/500 serial point the chaos and instrumented
+    # builds must reproduce.
+    "canonical_1_500": (
+        ScenarioConfig(seed=7, scale=1 / 500, include_cctld=False),
+        "18ff5b7ae351a5f45b0585ad0075cebb",
+    ),
 }
 
 
@@ -174,23 +180,13 @@ class TestInstrumentedBuildMatchesGolden:
     hold the stitched per-worker ``build.populate_shard`` spans.
     """
 
-    @staticmethod
-    def _pinned():
-        import json
-        from pathlib import Path
-        path = (Path(__file__).resolve().parent.parent
-                / "benchmarks" / "BENCH_worldgen.json")
-        return json.loads(path.read_text())
-
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_profiled_parallel_build_hits_golden(self, jobs):
         from repro.obs.profiler import SamplingProfiler
         from repro.obs.spans import tracer
 
-        pinned = self._pinned()
-        config = ScenarioConfig(
-            seed=pinned["seed"], scale=1.0 / pinned["inv_scale"],
-            include_cctld=pinned["include_cctld"], parallel=jobs)
+        config, expected = GOLDEN_FINGERPRINTS["canonical_1_500"]
+        config = replace(config, parallel=jobs)
         trace = tracer()
         trace.reset()
         profiler = SamplingProfiler(interval=0.002).start()
@@ -200,7 +196,7 @@ class TestInstrumentedBuildMatchesGolden:
             profiler.stop()
 
         # Bit-identical to the committed serial golden, telemetry on.
-        assert world_fingerprint(world) == pinned["fingerprint"]
+        assert world_fingerprint(world) == expected
 
         # Every worker's populate spans were stitched into the parent:
         # one span per (tld, month) shard, three months per TLD.
