@@ -11,6 +11,11 @@ after ``evict_after_drops`` consecutive dropped deliveries the shard
 removes the client, which is how real feed infrastructure protects
 itself from dead consumers that never poll.
 
+A client is hashed to its shard once, when it is added: the dispatcher
+keeps a route table ``client_id -> (shard, queue)``, and every
+delivery, poll and pending-count reads it, so the per-record cost is a
+dict lookup per matched client, not a hash.
+
 The shards here are cooperative (no threads): ``dispatch()`` routes one
 published record to every matching subscription's queue, and clients
 drain with ``poll()``.  What matters for the reproduction is the
@@ -39,31 +44,30 @@ class ClientQueue:
 
     client_id: str
     max_depth: int
-    queue: Deque[Tuple[int, FeedRecord]] = field(default_factory=deque)
+    queue: Deque[FeedRecord] = field(default_factory=deque)
     #: Consecutive enqueue-side drops since the last successful poll.
     consecutive_drops: int = 0
     delivered: int = 0
     dropped: int = 0
 
-    def offer(self, record: FeedRecord, now: int) -> bool:
+    def offer(self, record: FeedRecord) -> bool:
         """Enqueue a record; on overflow drop the *oldest* entry.
 
         Returns False when something was dropped (the new record still
         lands — freshest-wins backpressure).
         """
-        dropped = False
-        if len(self.queue) >= self.max_depth:
+        dropped = len(self.queue) >= self.max_depth
+        if dropped:
             self.queue.popleft()
             self.dropped += 1
             self.consecutive_drops += 1
-            dropped = True
-        self.queue.append((now, record))
+        self.queue.append(record)
         return not dropped
 
-    def drain(self, max_records: int) -> List[Tuple[int, FeedRecord]]:
-        out: List[Tuple[int, FeedRecord]] = []
-        while self.queue and len(out) < max_records:
-            out.append(self.queue.popleft())
+    def drain(self, max_records: int) -> List[FeedRecord]:
+        """Take up to ``max_records`` records off the front, oldest first."""
+        out = [self.queue.popleft()
+               for _ in range(min(len(self.queue), max_records))]
         if out:
             self.consecutive_drops = 0
             self.delivered += len(out)
@@ -92,24 +96,6 @@ class FanoutShard:
     def remove_client(self, client_id: str) -> Optional[ClientQueue]:
         return self._queues.pop(client_id, None)
 
-    def queue_for(self, client_id: str) -> Optional[ClientQueue]:
-        return self._queues.get(client_id)
-
-    def enqueue(self, client_id: str, record: FeedRecord, now: int,
-                metrics: ServeMetrics) -> bool:
-        """Queue one delivery; returns False when the client was evicted."""
-        queue = self._queues.get(client_id)
-        if queue is None:
-            return False
-        self.routed += 1
-        if not queue.offer(record, now):
-            metrics.dropped_queue_full.inc()
-            if queue.consecutive_drops >= self.evict_after_drops:
-                self._queues.pop(client_id)
-                metrics.evicted_clients.inc()
-                return False
-        return True
-
     def pending(self) -> int:
         return sum(len(q.queue) for q in self._queues.values())
 
@@ -125,75 +111,91 @@ class FanoutDispatcher:
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.shards = [FanoutShard(i, max_queue_depth, evict_after_drops)
                        for i in range(shards)]
+        #: client id -> (its shard, its queue), resolved once on add.
+        self._routes: Dict[str, Tuple[FanoutShard, ClientQueue]] = {}
+        #: Sorted active client ids; None after a membership change.
+        self._sorted: Optional[Tuple[str, ...]] = None
         self._evicted: set = set()
 
     # -- membership -----------------------------------------------------------
 
-    def shard_for(self, client_id: str) -> FanoutShard:
-        return self.shards[stable_bucket(client_id, len(self.shards),
-                                         SHARD_SALT)]
-
     def add_client(self, client_id: str) -> None:
         self._evicted.discard(client_id)
-        self.shard_for(client_id).add_client(client_id)
+        shard = self.shards[stable_bucket(client_id, len(self.shards),
+                                          SHARD_SALT)]
+        self._routes[client_id] = (shard, shard.add_client(client_id))
+        self._sorted = None
 
     def remove_client(self, client_id: str) -> None:
-        self.shard_for(client_id).remove_client(client_id)
+        route = self._routes.pop(client_id, None)
+        if route is not None:
+            route[0].remove_client(client_id)
+            self._sorted = None
         self._evicted.discard(client_id)
 
     def is_evicted(self, client_id: str) -> bool:
         return client_id in self._evicted
 
-    def active_clients(self) -> List[str]:
-        out: List[str] = []
-        for shard in self.shards:
-            out.extend(shard._queues)
-        return sorted(out)
+    def active_clients(self) -> Tuple[str, ...]:
+        """Active client ids, sorted (cached until membership changes)."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._routes))
+        return self._sorted
 
     # -- delivery -------------------------------------------------------------
 
-    def dispatch(self, record: FeedRecord, client_ids: List[str],
-                 now: int) -> int:
+    def dispatch(self, record: FeedRecord,
+                 client_ids: List[str]) -> List[str]:
         """Fan one record out to the given (already-matched) clients.
 
-        Returns how many queues accepted it.  Clients whose queue
-        overflowed past the eviction threshold are dropped from their
-        shard and remembered so ``poll`` can tell them why.
+        Every listed client's queue takes the record; ids without a
+        queue (evicted or removed) are skipped.  Returns the ids this
+        call evicted: clients whose queue overflowed past the eviction
+        threshold are dropped from their shard and remembered so
+        ``poll`` can tell them why.
         """
-        accepted = 0
+        routes = self._routes
+        evicted: List[str] = []
         for client_id in client_ids:
-            shard = self.shard_for(client_id)
-            if shard.enqueue(client_id, record, now, self.metrics):
-                accepted += 1
-            elif shard.queue_for(client_id) is None:
-                self._evicted.add(client_id)
-        return accepted
+            route = routes.get(client_id)
+            if route is None:
+                continue
+            shard, queue = route
+            shard.routed += 1
+            if not queue.offer(record):
+                self.metrics.dropped_queue_full.inc()
+                if queue.consecutive_drops >= shard.evict_after_drops:
+                    self.remove_client(client_id)
+                    self._evicted.add(client_id)
+                    self.metrics.evicted_clients.inc()
+                    evicted.append(client_id)
+        return evicted
 
     def poll(self, client_id: str, now: int,
              max_records: int = 100) -> List[FeedRecord]:
         """Drain up to ``max_records`` pending deliveries for a client."""
-        shard = self.shard_for(client_id)
-        queue = shard.queue_for(client_id)
-        if queue is None:
+        route = self._routes.get(client_id)
+        if route is None:
             if client_id in self._evicted:
                 raise EvictedClientError(
                     f"client {client_id!r} was evicted as a slow consumer")
             raise UnknownClientError(f"no queue for client {client_id!r}")
+        queue = route[1]
         self.metrics.queue_depth.observe(len(queue.queue))
         batch = queue.drain(max_records)
-        out: List[FeedRecord] = []
-        for enqueued_at, record in batch:
-            self.metrics.delivered.inc()
-            self.metrics.delivery_lag.observe(max(0, now - record.seen_at))
-            out.append(record)
-        return out
+        if batch:
+            self.metrics.delivered.inc(len(batch))
+            observe = self.metrics.delivery_lag.observe
+            for record in batch:
+                observe(max(0, now - record.seen_at))
+        return batch
 
     def pending(self, client_id: Optional[str] = None) -> int:
         """Undelivered records: one client's queue, or all queues."""
         if client_id is not None:
-            queue = self.shard_for(client_id).queue_for(client_id)
-            return len(queue.queue) if queue is not None else 0
-        return sum(shard.pending() for shard in self.shards)
+            route = self._routes.get(client_id)
+            return len(route[1].queue) if route is not None else 0
+        return sum(len(queue.queue) for _, queue in self._routes.values())
 
     def delivered_counts(self) -> Dict[str, int]:
         """client id -> records delivered so far (active clients only)."""

@@ -135,7 +135,10 @@ class FeedServer:
         if backfill_since is not None:
             for record in self.log.replay_since(backfill_since):
                 if sub.matches(record):
-                    self.fanout.dispatch(record, [client_id], now)
+                    evicted = self.fanout.dispatch(record, [client_id])
+                    if evicted:
+                        self._retire(evicted)
+                        break
 
     def unsubscribe(self, client_id: str) -> None:
         """Deregister a client and discard its queued deliveries."""
@@ -150,20 +153,15 @@ class FeedServer:
 
     # -- ingest ---------------------------------------------------------------
 
-    def ingest(self, record: FeedRecord,
-               enqueue_at: Optional[int] = None) -> int:
+    def ingest(self, record: FeedRecord) -> int:
         """Publish one record into the log and the matching queues.
 
-        Args:
-            record: the feed record to distribute.
-            enqueue_at: delivery-queue timestamp; defaults to the
-                record's observation time, so delivery lag measures
-                observation → consumption.
+        Delivery lag is measured from the record's observation time
+        (``seen_at``) to the poll that delivers it.
 
         Returns:
             The number of client queues that accepted the record.
         """
-        at = record.seen_at if enqueue_at is None else enqueue_at
         self.metrics.published.inc()
         self.last_ingested_ts = max(self.last_ingested_ts, record.seen_at)
         self.log.append(record)
@@ -171,20 +169,26 @@ class FeedServer:
         if not matched:
             self.metrics.filtered_out.inc()
             return 0
-        client_ids = [s.client_id for s in matched]
-        accepted = self.fanout.dispatch(record, client_ids, at)
-        for client_id in client_ids:
-            # Eviction tore down the queue; retire the subscription and
-            # bucket too, so the client can resubscribe (and stops
-            # costing matching work).  The fan-out layer remembers the
-            # eviction so a poll() still explains what happened.
-            if self.fanout.is_evicted(client_id):
-                self.subscriptions.unsubscribe(client_id)
-                self.limiter.forget(client_id)
+        evicted = self.fanout.dispatch(record,
+                                       [s.client_id for s in matched])
+        if evicted:
+            self._retire(evicted)
         threshold = self.config.shed_pending_threshold
         if threshold is not None and self.fanout.pending() > threshold:
-            self._shed_overload(at)
-        return accepted
+            self._shed_overload(record.seen_at)
+        return len(matched) - len(evicted)
+
+    def _retire(self, evicted: List[str]) -> None:
+        """Retire the subscription and bucket of evicted clients.
+
+        Eviction tore down the queue; retiring the rest lets the client
+        resubscribe (and stops it costing matching work).  The fan-out
+        layer remembers the eviction so a poll() still explains what
+        happened.
+        """
+        for client_id in evicted:
+            self.subscriptions.unsubscribe(client_id)
+            self.limiter.forget(client_id)
 
     def _shed_overload(self, now: int) -> None:
         """Shed subscribers until total pending is back under threshold.

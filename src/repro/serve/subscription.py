@@ -3,7 +3,7 @@
 Each feed client subscribes with a :class:`FilterSpec` — which TLDs,
 which sources, an optional domain glob, and an optional
 since-timestamp.  Matching every record against every subscriber's
-filter is the fan-out hot path, so the manager does two things the
+filter is the fan-out hot path, so the manager does three things the
 naive loop does not:
 
 * specs are **compiled once** into closures over frozen sets (no
@@ -12,7 +12,12 @@ naive loop does not:
 * subscriptions are **indexed by TLD**: a record for ``.xyz`` is only
   tested against subscribers that asked for ``.xyz`` (plus the
   wildcard subscribers), which keeps matching cost proportional to the
-  interested audience rather than the whole client population.
+  interested audience rather than the whole client population;
+* the TLD and source constraints depend only on ``(record.tld,
+  record.source)``, so the candidates that pass them are **memoised
+  per pair**.  Only the glob and ``since`` constraints, which depend on
+  the domain and the timestamp, run per record.  Any subscribe or
+  unsubscribe clears the memo.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import fnmatch
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.feed import FeedRecord
 from repro.errors import ServeError, UnknownClientError
@@ -81,19 +87,18 @@ class FilterSpec:
                 raise ServeError(f"unknown filter field {key!r}")
         return cls(tlds=tlds, sources=sources, domain_glob=glob, since=since)
 
-    def compile(self) -> Predicate:
-        """Build the fastest predicate this spec allows.
+    def admits(self, tld: str, source: str) -> bool:
+        """Whether the TLD and source constraints accept the pair."""
+        return ((not self.tlds or tld in self.tlds)
+                and (not self.sources or source in self.sources))
 
-        Constraints that are absent contribute no per-record work; a
-        fully empty spec compiles to a constant-True function.
+    def compile_residual(self) -> Optional[Predicate]:
+        """The per-record part of the filter: glob and ``since``.
+
+        None when the spec has neither, i.e. when :meth:`admits` alone
+        decides.
         """
         checks: List[Predicate] = []
-        if self.tlds:
-            tlds = self.tlds
-            checks.append(lambda r: r.tld in tlds)
-        if self.sources:
-            sources = self.sources
-            checks.append(lambda r: r.source in sources)
         if self.domain_glob:
             pattern = re.compile(fnmatch.translate(self.domain_glob))
             checks.append(lambda r: pattern.match(r.domain) is not None)
@@ -101,10 +106,24 @@ class FilterSpec:
             since = self.since
             checks.append(lambda r: r.seen_at >= since)
         if not checks:
-            return lambda r: True
+            return None
         if len(checks) == 1:
             return checks[0]
         return lambda r: all(check(r) for check in checks)
+
+    def compile(self) -> Predicate:
+        """The whole filter as one predicate.
+
+        Constraints that are absent contribute no per-record work; a
+        fully empty spec compiles to a constant-True function.
+        """
+        residual = self.compile_residual()
+        if not (self.tlds or self.sources):
+            return residual if residual is not None else (lambda r: True)
+        admits = self.admits
+        if residual is None:
+            return lambda r: admits(r.tld, r.source)
+        return lambda r: admits(r.tld, r.source) and residual(r)
 
 
 @dataclass
@@ -115,10 +134,13 @@ class Subscription:
     spec: FilterSpec
     tier: str = "standard"
     predicate: Predicate = field(init=False, repr=False)
+    #: The glob/``since`` part of the filter (None: static-only).
+    residual: Optional[Predicate] = field(init=False, repr=False)
     subscribed_at: int = 0
 
     def __post_init__(self) -> None:
         self.predicate = self.spec.compile()
+        self.residual = self.spec.compile_residual()
 
     def matches(self, record: FeedRecord) -> bool:
         return self.predicate(record)
@@ -140,6 +162,11 @@ class SubscriptionManager:
         self._by_tld: Dict[str, List[str]] = {}
         #: client ids with no TLD constraint (match every tld).
         self._wildcard: List[str] = []
+        #: (tld, source) -> (subscriptions whose TLD and source
+        #: constraints admit the pair, in match order; whether any of
+        #: them has a residual predicate).
+        self._memo: Dict[Tuple[str, str],
+                         Tuple[List[Subscription], bool]] = {}
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -160,6 +187,7 @@ class SubscriptionManager:
         sub = Subscription(client_id=client_id, spec=spec, tier=tier,
                            subscribed_at=now)
         self._subs[client_id] = sub
+        self._memo.clear()
         if spec.tlds:
             for tld in spec.tlds:
                 self._by_tld.setdefault(tld, []).append(client_id)
@@ -171,6 +199,7 @@ class SubscriptionManager:
         sub = self._subs.pop(client_id, None)
         if sub is None:
             raise UnknownClientError(f"no subscription for {client_id!r}")
+        self._memo.clear()
         if sub.spec.tlds:
             for tld in sub.spec.tlds:
                 ids = self._by_tld.get(tld, [])
@@ -193,19 +222,27 @@ class SubscriptionManager:
         """All subscriptions whose filter accepts the record.
 
         Only TLD-indexed candidates plus wildcard subscribers are
-        tested; result order is deterministic (candidate registration
-        order) so deliveries are reproducible.
+        considered; result order is deterministic (candidate
+        registration order) so deliveries are reproducible.
         """
-        out: List[Subscription] = []
-        for client_id in self._by_tld.get(record.tld, ()):
-            sub = self._subs[client_id]
-            if sub.predicate(record):
-                out.append(sub)
-        for client_id in self._wildcard:
-            sub = self._subs[client_id]
-            if sub.predicate(record):
-                out.append(sub)
-        return out
+        key = (record.tld, record.source)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = self._admitted(*key)
+        subs, any_residual = entry
+        if not any_residual:
+            return list(subs)
+        return [sub for sub in subs
+                if sub.residual is None or sub.residual(record)]
+
+    def _admitted(self, tld: str,
+                  source: str) -> Tuple[List[Subscription], bool]:
+        """The memo entry of one (tld, source) pair."""
+        subs = [self._subs[client_id]
+                for client_id in (*self._by_tld.get(tld, ()),
+                                  *self._wildcard)]
+        subs = [sub for sub in subs if sub.spec.admits(tld, source)]
+        return subs, any(sub.residual is not None for sub in subs)
 
     def tiers(self) -> Dict[str, str]:
         """client id -> tier, for the rate limiter."""

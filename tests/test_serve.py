@@ -1,8 +1,12 @@
 """Tests for the feed-distribution subsystem (repro.serve)."""
 
+import fnmatch
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bus.broker import Broker, TOPIC_FEED
 from repro.core.feed import FeedRecord, PublicFeed
@@ -21,10 +25,13 @@ from repro.serve import (
     FilterSpec,
     RateLimiter,
     SegmentedLog,
+    ServeMetrics,
     SubscriptionManager,
     TierPolicy,
     TokenBucket,
 )
+from repro.serve.fanout import SHARD_SALT
+from repro.simtime.rng import stable_bucket
 from repro.workload.scenario import ScenarioConfig, build_world
 
 
@@ -227,8 +234,7 @@ class TestFanout:
     def test_dispatch_and_poll(self):
         dispatcher = FanoutDispatcher(shards=2)
         dispatcher.add_client("a")
-        accepted = dispatcher.dispatch(record(), ["a"], now=2000)
-        assert accepted == 1
+        assert dispatcher.dispatch(record(), ["a"]) == []  # none evicted
         got = dispatcher.poll("a", now=2000)
         assert len(got) == 1
         assert dispatcher.metrics.delivered.value == 1
@@ -238,7 +244,7 @@ class TestFanout:
                                       evict_after_drops=1000)
         dispatcher.add_client("slow")
         for i in range(5):
-            dispatcher.dispatch(record(i), ["slow"], now=2000)
+            dispatcher.dispatch(record(i), ["slow"])
         got = dispatcher.poll("slow", now=2000, max_records=10)
         # oldest two were dropped; the three newest survive
         assert [r.domain for r in got] == ["d2.com", "d3.com", "d4.com"]
@@ -249,7 +255,7 @@ class TestFanout:
                                       evict_after_drops=4)
         dispatcher.add_client("dead")
         for i in range(10):
-            dispatcher.dispatch(record(i), ["dead"], now=2000)
+            dispatcher.dispatch(record(i), ["dead"])
         assert dispatcher.is_evicted("dead")
         assert dispatcher.metrics.evicted_clients.value == 1
         with pytest.raises(EvictedClientError):
@@ -261,7 +267,7 @@ class TestFanout:
         dispatcher.add_client("spiky")
         for burst in range(5):
             for i in range(5):  # 3 drops per burst, under the threshold
-                dispatcher.dispatch(record(i), ["spiky"], now=2000)
+                dispatcher.dispatch(record(i), ["spiky"])
             dispatcher.poll("spiky", now=2000, max_records=10)
         assert not dispatcher.is_evicted("spiky")
 
@@ -388,6 +394,21 @@ class TestFeedServer:
         server.ingest(record(99))
         assert len(server.poll("lazy", now=2000)) == 1
 
+    def test_client_evicted_during_backfill_is_retired(self):
+        server = FeedServer(config=FeedServerConfig(max_queue_depth=2,
+                                                    evict_after_drops=2))
+        for i in range(10):
+            server.ingest(record(i))
+        server.subscribe("late", "tld=com", backfill_since=0, now=2000)
+        assert server.fanout.is_evicted("late")
+        assert server.client_count == 0
+        with pytest.raises(EvictedClientError):
+            server.poll("late", now=2000)
+        server.subscribe("late", "tld=com")  # not "already subscribed"
+        server.ingest(record(99))
+        assert [r.domain for r in server.poll("late", now=2000)] == \
+            ["d99.com"]
+
     def test_custom_tier_policies(self):
         config = FeedServerConfig(tiers={
             "gold": TierPolicy("gold", rate=1.0, burst=2.0)})
@@ -419,6 +440,322 @@ class TestFeedServer:
                     "delivery_lag", "log", "shards", "clients"):
             assert key in snap
         json.dumps(snap)  # must be JSON-serialisable
+
+
+# --------------------------------------------------------------------------
+# Hot path: routing resolved on subscribe, matching memoised per (tld, source)
+# --------------------------------------------------------------------------
+
+class TestHotPath:
+    def test_delivery_never_rehashes_a_client(self, monkeypatch):
+        server = FeedServer(config=FeedServerConfig(shards=4))
+        for i in range(12):
+            server.subscribe(f"c{i}", "tld=com" if i % 2 else None)
+
+        def no_hashing(*args, **kwargs):
+            raise AssertionError("stable_bucket called after subscribe")
+
+        monkeypatch.setattr("repro.serve.fanout.stable_bucket", no_hashing)
+        for i in range(20):
+            server.ingest(record(i, tld="com" if i % 3 else "xyz"))
+        assert len(server.poll("c1", now=2000)) == 13
+        assert server.drain_all(now=2000) == 6 * 20 + 5 * 13
+        assert server.fanout.pending() == 0
+
+    def test_seen_pair_skips_static_predicates(self):
+        manager = SubscriptionManager()
+        manager.subscribe("com", FilterSpec(tlds=frozenset({"com"})))
+        manager.subscribe("ct", FilterSpec(sources=frozenset({"ct"})))
+        manager.subscribe("all", FilterSpec())
+        manager.subscribe("pay", FilterSpec(tlds=frozenset({"com"}),
+                                            domain_glob="pay-*"))
+        first = manager.match(record(domain="pay-a.com"))
+        assert [s.client_id for s in first] == ["com", "pay", "ct", "all"]
+
+        def never(r):
+            raise AssertionError("whole predicate called for a seen pair")
+
+        residual_calls = []
+        pay = manager.get("pay")
+        residual = pay.residual
+        pay.residual = lambda r: residual_calls.append(r) or residual(r)
+        for client_id in ("com", "ct", "all", "pay"):
+            manager.get(client_id).predicate = never
+        second = manager.match(record(domain="bank.com"))
+        assert [s.client_id for s in second] == ["com", "ct", "all"]
+        assert [r.domain for r in residual_calls] == ["bank.com"]
+
+    def test_subscribe_and_unsubscribe_invalidate_the_memo(self):
+        manager = SubscriptionManager()
+        manager.subscribe("a", FilterSpec(tlds=frozenset({"com"})))
+        assert [s.client_id for s in manager.match(record())] == ["a"]
+        manager.subscribe("b", FilterSpec())
+        assert [s.client_id for s in manager.match(record())] == ["a", "b"]
+        manager.unsubscribe("a")
+        assert [s.client_id for s in manager.match(record())] == ["b"]
+
+
+# --------------------------------------------------------------------------
+# Equivalence with a reference model of the unmemoised, per-call algorithm
+# --------------------------------------------------------------------------
+
+def reference_accepts(spec, r):
+    """Every filter field checked on every record."""
+    return ((not spec.tlds or r.tld in spec.tlds)
+            and (not spec.sources or r.source in spec.sources)
+            and (not spec.domain_glob
+                 or fnmatch.fnmatchcase(r.domain, spec.domain_glob))
+            and (spec.since is None or r.seen_at >= spec.since))
+
+
+class ReferenceServer:
+    """The serve path without a route table or match memo.
+
+    Each record is tested against every TLD-indexed and wildcard
+    subscriber's whole filter, and every delivery, poll and pending
+    count hashes the client to its shard again.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.metrics = ServeMetrics()
+        self.log = SegmentedLog()
+        self.limiter = RateLimiter(config.tiers)
+        self.subs = {}  # client id -> (spec, tier), registration order
+        self.by_tld = {}
+        self.wildcard = []
+        #: One {client id: [queue, consecutive drops, delivered]} per shard.
+        self.shards = [{} for _ in range(config.shards)]
+        self.routed = [0] * config.shards
+        self.evicted = set()
+
+    def queue(self, client_id):
+        index = stable_bucket(client_id, len(self.shards), SHARD_SALT)
+        return index, self.shards[index].get(client_id)
+
+    def subscribe(self, client_id, spec, tier, now, backfill_since):
+        if client_id in self.subs:
+            raise ServeError("already subscribed")
+        self.subs[client_id] = (spec, tier)
+        for tld in spec.tlds:
+            self.by_tld.setdefault(tld, []).append(client_id)
+        if not spec.tlds:
+            self.wildcard.append(client_id)
+        self.evicted.discard(client_id)
+        index, _ = self.queue(client_id)
+        self.shards[index][client_id] = [deque(), 0, 0]
+        self.limiter.register(client_id, tier, now=now)
+        if backfill_since is not None:
+            for r in self.log.replay_since(backfill_since):
+                if reference_accepts(spec, r) and self.dispatch(r,
+                                                                [client_id]):
+                    self.retire([client_id])
+                    break
+
+    def retire(self, client_ids):
+        for client_id in client_ids:
+            spec, _ = self.subs.pop(client_id)
+            for tld in spec.tlds:
+                self.by_tld[tld].remove(client_id)
+            if not spec.tlds:
+                self.wildcard.remove(client_id)
+            self.limiter.forget(client_id)
+
+    def unsubscribe(self, client_id):
+        if client_id not in self.subs:
+            raise UnknownClientError(client_id)
+        self.retire([client_id])
+        index, _ = self.queue(client_id)
+        self.shards[index].pop(client_id, None)
+        self.evicted.discard(client_id)
+
+    def match(self, r):
+        candidates = self.by_tld.get(r.tld, []) + self.wildcard
+        return [c for c in candidates
+                if reference_accepts(self.subs[c][0], r)]
+
+    def dispatch(self, r, client_ids):
+        evicted = []
+        for client_id in client_ids:
+            index, entry = self.queue(client_id)
+            if entry is None:
+                continue
+            self.routed[index] += 1
+            full = len(entry[0]) >= self.config.max_queue_depth
+            if full:
+                entry[0].popleft()
+                entry[1] += 1
+            entry[0].append(r)
+            if full:
+                self.metrics.dropped_queue_full.inc()
+                if entry[1] >= self.config.evict_after_drops:
+                    del self.shards[index][client_id]
+                    self.evicted.add(client_id)
+                    self.metrics.evicted_clients.inc()
+                    evicted.append(client_id)
+        return evicted
+
+    def ingest(self, r):
+        self.metrics.published.inc()
+        self.log.append(r)
+        matched = self.match(r)
+        if not matched:
+            self.metrics.filtered_out.inc()
+            return 0
+        evicted = self.dispatch(r, matched)
+        self.retire(evicted)
+        threshold = self.config.shed_pending_threshold
+        if threshold is not None and self.pending() > threshold:
+            self.shed(threshold)
+        return len(matched) - len(evicted)
+
+    def shed(self, threshold):
+        by_tier = {}
+        for client_id, (_, tier) in self.subs.items():
+            by_tier.setdefault(tier, []).append(client_id)
+        for tier in self.config.shed_tier_order:
+            victims = sorted(by_tier.get(tier, ()),
+                             key=lambda c: (-self.pending(c), c))
+            for client_id in victims:
+                if self.pending() <= threshold:
+                    return
+                self.unsubscribe(client_id)
+                self.metrics.shed_clients.inc()
+
+    def poll(self, client_id, now, max_records):
+        available = self.limiter.available(client_id, now)
+        allowed = (max_records if available == float("inf")
+                   else min(max_records, int(available)))
+        if allowed <= 0:
+            if self.pending(client_id):
+                self.metrics.dropped_rate_limited.inc()
+            return []
+        _, entry = self.queue(client_id)
+        if entry is None:
+            if client_id in self.evicted:
+                raise EvictedClientError(client_id)
+            raise UnknownClientError(client_id)
+        self.metrics.queue_depth.observe(len(entry[0]))
+        out = []
+        while entry[0] and len(out) < allowed:
+            out.append(entry[0].popleft())
+        if out:
+            entry[1] = 0
+            entry[2] += len(out)
+        for r in out:
+            self.metrics.delivered.inc()
+            self.metrics.delivery_lag.observe(max(0, now - r.seen_at))
+        if out:
+            self.limiter.allow(client_id, now, n=len(out))
+        return out
+
+    def drain_all(self, now):
+        return sum(len(self.poll(client_id, now, 100))
+                   for client_id in sorted(c for shard in self.shards
+                                           for c in shard))
+
+    def pending(self, client_id=None):
+        if client_id is not None:
+            _, entry = self.queue(client_id)
+            return len(entry[0]) if entry is not None else 0
+        return sum(len(entry[0]) for shard in self.shards
+                   for entry in shard.values())
+
+    def queues(self):
+        return {c: list(entry[0]) for shard in self.shards
+                for c, entry in shard.items()}
+
+    def delivered_counts(self):
+        return [(c, entry[2]) for shard in self.shards
+                for c, entry in shard.items()]
+
+    def shard_loads(self):
+        return [{"shard": i, "clients": len(shard),
+                 "routed": self.routed[i],
+                 "pending": sum(len(e[0]) for e in shard.values())}
+                for i, shard in enumerate(self.shards)]
+
+
+EQUIV_TIERS = {"free": TierPolicy("free", rate=0.5, burst=2.0),
+               "standard": TierPolicy("standard", rate=1.0, burst=3.0),
+               "premium": TierPolicy("premium", rate=100.0, burst=100.0)}
+EQUIV_CLIENTS = ("c0", "c1", "c2", "c3", "c4", "c5")
+EQUIV_TLDS = ("com", "net", "xyz")
+
+specs = st.builds(
+    FilterSpec,
+    tlds=st.frozensets(st.sampled_from(EQUIV_TLDS + ("org",)), max_size=2),
+    sources=st.frozensets(st.sampled_from(("ct", "zone")), max_size=1),
+    domain_glob=st.sampled_from((None, "*a*", "pay-*", "*.net")),
+    since=st.one_of(st.none(), st.integers(0, 40)))
+subscribes = st.tuples(st.just("subscribe"), st.sampled_from(EQUIV_CLIENTS),
+                       specs, st.sampled_from(sorted(EQUIV_TIERS)),
+                       st.one_of(st.none(), st.integers(0, 40)))
+operations = st.lists(st.one_of(
+    subscribes, subscribes,
+    st.tuples(st.just("unsubscribe"), st.sampled_from(EQUIV_CLIENTS)),
+    st.tuples(st.just("ingest"), st.sampled_from(("pay-a", "shop", "abc")),
+              st.sampled_from(EQUIV_TLDS), st.sampled_from(("ct", "zone")),
+              st.integers(0, 5)),
+    st.tuples(st.just("poll"), st.sampled_from(EQUIV_CLIENTS),
+              st.integers(0, 4)),
+    st.tuples(st.just("drain_all"))), min_size=20, max_size=80)
+configs = st.builds(
+    FeedServerConfig, shards=st.integers(1, 3),
+    max_queue_depth=st.integers(1, 4), evict_after_drops=st.integers(1, 3),
+    shed_pending_threshold=st.one_of(st.none(), st.integers(1, 6)),
+    tiers=st.just(EQUIV_TIERS))
+
+
+def outcome(call):
+    """A call's result, or the type of the error it raised."""
+    try:
+        return call()
+    except (ServeError, UnknownClientError, EvictedClientError) as exc:
+        return type(exc)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(config=configs, ops=st.lists(subscribes, min_size=1, max_size=6),
+           more_ops=operations)
+    def test_server_matches_reference(self, config, ops, more_ops):
+        server, model = FeedServer(config=config), ReferenceServer(config)
+        for clock, (op, *args) in enumerate(ops + more_ops):
+            if op == "subscribe":
+                client_id, spec, tier, since = args
+                got = outcome(lambda: server.subscribe(
+                    client_id, spec, tier=tier, now=clock,
+                    backfill_since=since))
+                want = outcome(lambda: model.subscribe(
+                    client_id, spec, tier, clock, since))
+            elif op == "unsubscribe":
+                got = outcome(lambda: server.unsubscribe(args[0]))
+                want = outcome(lambda: model.unsubscribe(args[0]))
+            elif op == "ingest":
+                word, tld, source, late = args
+                r = record(domain=f"{word}{clock}.{tld}", tld=tld,
+                           source=source, seen_at=max(0, clock - late))
+                assert [s.client_id for s in
+                        server.subscriptions.match(r)] == model.match(r)
+                got, want = server.ingest(r), model.ingest(r)
+            elif op == "poll":
+                got = outcome(lambda: server.poll(args[0], clock,
+                                                  max_records=args[1]))
+                want = outcome(lambda: model.poll(args[0], clock, args[1]))
+            else:
+                got, want = server.drain_all(clock), model.drain_all(clock)
+            assert got == want, (op, args)
+            assert server.client_count == len(model.subs)
+        queues = {c: list(q.queue) for shard in server.fanout.shards
+                  for c, q in shard._queues.items()}
+        assert queues == model.queues()
+        assert list(server.fanout.delivered_counts().items()) == \
+            model.delivered_counts()
+        assert server.fanout.shard_loads() == model.shard_loads()
+        assert server.metrics.snapshot() == model.metrics.snapshot()
+        assert all(server.fanout.is_evicted(c) == (c in model.evicted)
+                   for c in EQUIV_CLIENTS)
 
 
 # --------------------------------------------------------------------------
