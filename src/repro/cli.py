@@ -125,11 +125,6 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                              "object/file path or a CLI spec like "
                              "'seed=7;worker.crash:rate=0.5,fires=1' "
                              "(see docs/resilience.md; default: no faults)")
-    parser.add_argument("--max-shard-retries", type=_nonnegative_int,
-                        default=2, metavar="N",
-                        help="per-shard retry budget for crashed/overdue "
-                             "build workers before serial fallback "
-                             "(default 2)")
     parser.add_argument("--scenario", metavar="SPEC", default=None,
                         help="build a scenario world: a registered name, "
                              "optionally with knob overrides, e.g. "
@@ -153,7 +148,6 @@ def _world_from(args: argparse.Namespace, cctld_scale: Optional[float] = None):
         cctld_scale=cctld_scale,
         parallel=args.jobs,
         fault_plan=args.fault_plan,
-        max_shard_retries=args.max_shard_retries,
         scenario=scenario, scenario_knobs=knobs))
 
 

@@ -162,15 +162,6 @@ class WorkerCrashError(ResilienceError):
     """A build worker process died (or an injected fault killed it)."""
 
 
-class ShardRetryExhausted(ResilienceError):
-    """A build shard failed every supervised retry and the in-process
-    serial fallback was disabled (or failed too)."""
-
-
-class CircuitOpenError(ResilienceError):
-    """An operation was refused because its circuit breaker is open."""
-
-
 class SegmentCorruptionError(ResilienceError):
     """A persisted log segment failed its CRC or JSON parse.
 

@@ -6,9 +6,8 @@ The package has three pillars (see ``docs/resilience.md``):
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`, the seeded
   chaos schedule parsed from ``--fault-plan`` (same seed → same
   injection schedule, bit-reproducible);
-* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker` and the
-  retry :func:`backoff <make_backoff>` policies the scan engine keys
-  per TLD authority;
+* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`, which the
+  scan engine keys per TLD authority;
 * :mod:`repro.resilience.metrics` — the process-wide ``resilience``
   registry group counting every injected fault and every recovery.
 
@@ -18,13 +17,7 @@ behaviour they protect lives; this package only holds the shared
 mechanism.
 """
 
-from repro.resilience.breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    DecorrelatedJitterBackoff,
-    ExponentialBackoff,
-    make_backoff,
-)
+from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.metrics import (
     ResilienceMetrics,
@@ -35,13 +28,10 @@ from repro.resilience.metrics import (
 __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
-    "DecorrelatedJitterBackoff",
-    "ExponentialBackoff",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "ResilienceMetrics",
     "get_resilience_metrics",
-    "make_backoff",
     "reset_resilience_metrics",
 ]

@@ -1,4 +1,4 @@
-"""Circuit breakers and retry backoff policies.
+"""Circuit breakers.
 
 :class:`CircuitBreaker` implements the classic three-state machine —
 CLOSED (traffic flows), OPEN (traffic refused after too many
@@ -7,23 +7,17 @@ cooldown) — keyed in the scan engine per TLD authority so one melting
 authority cannot consume the whole probe budget.  Time is whatever
 monotonic counter the caller passes in (the scan engine passes
 simulated seconds), so the breaker itself is deterministic and
-clock-free.
-
-Backoff policies unify the retry paths: :class:`ExponentialBackoff`
-reproduces the historical ``retry_backoff * 2 ** attempt`` schedule
-bit-for-bit (it is the default, keeping every existing golden valid),
-and :class:`DecorrelatedJitterBackoff` implements the AWS
-"decorrelated jitter" scheme with deterministic, per-key seeded draws
-so two chaos runs spread retries identically.
+clock-free.  A refused probe rides the scan engine's one retry
+schedule (``retry_backoff * 2 ** attempt``), by which time the breaker
+may be half-open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigError
-from repro.simtime.rng import RngStream
 
 CLOSED = "closed"
 OPEN = "open"
@@ -175,73 +169,3 @@ class CircuitBreaker:
             "skipped": self.skipped,
             "transitions": dict(sorted(self.transitions.items())),
         }
-
-
-# --------------------------------------------------------------------------
-# Backoff policies
-# --------------------------------------------------------------------------
-
-class ExponentialBackoff:
-    """The historical schedule: ``base * 2 ** attempt``.
-
-    This is the default scan retry policy and is intentionally
-    bit-identical to the expression it replaced, so every committed
-    scan golden (loop-equivalence, grid timing) survives unchanged.
-    """
-
-    name = "exponential"
-
-    def __init__(self, base: float) -> None:
-        if base < 0:
-            raise ConfigError(f"backoff base must be >= 0: {base}")
-        self.base = base
-
-    def delay(self, attempt: int, *key: object) -> float:
-        return self.base * (2 ** attempt)
-
-
-class DecorrelatedJitterBackoff:
-    """AWS-style decorrelated jitter, seeded per retry chain.
-
-    ``delay(n) = min(cap, uniform(base, prev * 3))`` where ``prev`` is
-    the previous delay in the same chain.  The uniform draw comes from
-    ``RngStream(seed, "backoff", *key, attempt)``, so the whole chain
-    is a pure function of ``(seed, key)`` — two runs of the same chaos
-    plan back off identically, and delays never depend on how many
-    *other* domains are retrying.
-    """
-
-    name = "decorrelated_jitter"
-
-    def __init__(self, base: float, cap: Optional[float] = None,
-                 seed: int = 0) -> None:
-        if base <= 0:
-            raise ConfigError(f"backoff base must be positive: {base}")
-        if cap is not None and cap < base:
-            raise ConfigError(f"backoff cap {cap} below base {base}")
-        self.base = base
-        self.cap = cap
-        self.seed = seed
-
-    def delay(self, attempt: int, *key: object) -> float:
-        # Recompute the chain prefix so delay(n) is stateless in n.
-        prev = self.base
-        for step in range(attempt + 1):
-            draw = RngStream(self.seed, "backoff", *map(str, key),
-                             str(step)).random()
-            prev = self.base + draw * max(0.0, prev * 3 - self.base)
-            if self.cap is not None:
-                prev = min(self.cap, prev)
-        return prev
-
-
-def make_backoff(policy: str, base: float, cap: Optional[float] = None,
-                 seed: int = 0):
-    """Backoff factory used by :class:`~repro.scan.engine.ScanConfig`."""
-    if policy == ExponentialBackoff.name:
-        return ExponentialBackoff(base)
-    if policy == DecorrelatedJitterBackoff.name:
-        return DecorrelatedJitterBackoff(base, cap=cap, seed=seed)
-    raise ConfigError(
-        f"unknown backoff policy {policy!r} (choose from "
-        f"{ExponentialBackoff.name!r}, {DecorrelatedJitterBackoff.name!r})")

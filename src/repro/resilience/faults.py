@@ -16,8 +16,6 @@ Fault kinds (the ``kind`` column of ``docs/resilience.md``):
 
 =================  =========================================================
 ``worker.crash``   a parallel-build shard raises :class:`WorkerCrashError`
-``worker.hang``    a parallel-build shard sleeps ``delay`` wall seconds
-                   before doing any work (exercises the shard deadline)
 ``scan.servfail``  a probe comes back SERVFAIL without reaching the
                    authority (per-authority storm via ``target``)
 ``scan.timeout``   as above, but TIMEOUT
@@ -29,13 +27,13 @@ Fault kinds (the ``kind`` column of ``docs/resilience.md``):
 
 Plans parse from three spellings, all accepted by ``--fault-plan``:
 
-* a compact CLI spec — ``"seed=3;worker.crash:target=com,rate=1,fires=1"``;
+* a compact CLI spec — ``"seed=3;worker.crash:target=com:*,rate=1"``;
 * inline JSON — ``'{"seed": 3, "faults": [{"kind": "worker.crash", ...}]}'``;
 * a path to a JSON file with the same shape.
 
-Injection *events* are counted in the process-wide ``resilience``
-metric group and logged (logger ``resilience``, ``fault.<kind>``
-events) so a chaos run's schedule is observable after the fact.
+Injection *events* are counted by kind in the process-wide
+``resilience`` metric group (``faults_injected``) so a chaos run's
+schedule is observable after the fact.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.simtime.rng import RngStream
 
 #: Every injectable fault kind (parse-time validation).
 FAULT_KINDS = (
-    "worker.crash", "worker.hang",
+    "worker.crash",
     "scan.servfail", "scan.timeout", "scan.latency",
     "serve.stall",
     "log.torn_write",
@@ -75,10 +73,11 @@ class FaultSpec:
     ``rate`` is the per-opportunity firing probability; ``target`` is
     an ``fnmatch`` pattern against the injection site's primary key
     (TLD, authority, or client id — ``None`` matches everything);
-    ``fires`` caps the *attempt index* the fault can fire on (so
-    ``fires=1`` makes a worker crash exactly once and succeed on
-    retry); ``delay`` shapes hang/latency faults; ``start``/``end``
-    gate the fault to a simulated-time window (storms).
+    ``fires`` caps the *attempt index* the fault can fire on, which
+    only scan retries advance (``fires=1`` spares every retry of a
+    failed probe instant; other kinds always fire on attempt 0);
+    ``delay`` shapes latency faults; ``start``/``end`` gate the fault
+    to a simulated-time window (storms).
     """
 
     kind: str

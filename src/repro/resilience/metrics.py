@@ -29,17 +29,15 @@ class ResilienceMetrics:
             "resilience_faults_injected_total",
             "Faults fired by the active fault plan", labelnames=("kind",))
         #: Build-worker failures observed by the supervisor (injected
-        #: crashes, real exceptions, and deadline overruns alike).
+        #: crashes and real exceptions as ``crash``, shards lost to a
+        #: broken pool as ``pool_broken``).
         self.worker_failures = Counter(
             "resilience_worker_failures_total",
-            "Build shard attempts that crashed or overran their deadline",
+            "Build shards whose worker crashed or was lost",
             labelnames=("reason",))
-        self.shard_retries = Counter(
-            "resilience_shard_retries_total",
-            "Build shards resubmitted after a failed attempt")
         self.serial_fallbacks = Counter(
             "resilience_serial_fallbacks_total",
-            "Poison shards rebuilt in-process after exhausting retries")
+            "Failed build shards rebuilt in-process")
         #: Breaker lifecycle, labelled by the transition edge.
         self.breaker_transitions = Counter(
             "resilience_breaker_transitions_total",
@@ -48,9 +46,6 @@ class ResilienceMetrics:
         self.breaker_skips = Counter(
             "resilience_breaker_skips_total",
             "Probes refused because a circuit breaker was open")
-        self.deadline_exhausted = Counter(
-            "resilience_deadline_exhausted_total",
-            "Scan retries dropped because the probe deadline budget ran out")
         #: Segmented-log salvage results.
         self.torn_lines = Counter(
             "resilience_torn_lines_total",
@@ -72,9 +67,9 @@ class ResilienceMetrics:
 
     def metrics(self) -> Iterable:
         return [
-            self.faults_injected, self.worker_failures, self.shard_retries,
+            self.faults_injected, self.worker_failures,
             self.serial_fallbacks, self.breaker_transitions,
-            self.breaker_skips, self.deadline_exhausted, self.torn_lines,
+            self.breaker_skips, self.torn_lines,
             self.records_salvaged, self.segments_quarantined,
             self.shed_clients, self.rejected_lines,
         ]

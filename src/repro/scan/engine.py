@@ -57,13 +57,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.registry.registry import RegistryGroup
-from repro.resilience.breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    DecorrelatedJitterBackoff,
-    ExponentialBackoff,
-    make_backoff,
-)
+from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.faults import FaultPlan
 from repro.resilience.metrics import get_resilience_metrics
 from repro.scan.metrics import ScanMetrics
@@ -96,7 +90,8 @@ class ScanConfig:
     qps_per_authority: Optional[float] = None
     #: SERVFAIL/TIMEOUT retries per probe instant.
     max_retries: int = 2
-    #: First-retry delay in seconds; doubles per attempt.
+    #: First-retry delay in seconds; doubles per attempt (the retry is
+    #: due ``retry_backoff * 2 ** attempt`` after the failed probe).
     retry_backoff: int = 5
     #: Max per-domain grid offset in seconds (deterministic; 0 = exact
     #: grid, required for loop equivalence).
@@ -117,29 +112,11 @@ class ScanConfig:
     #: Per-TLD-authority circuit breaker (None: breakers off — the
     #: loop-equivalent default).
     breaker: Optional[BreakerConfig] = None
-    #: Simulated-seconds budget per probe instant: a retry whose due
-    #: time would land past ``nominal + probe_deadline`` is dropped
-    #: (None: retries bounded only by ``max_retries``).
-    probe_deadline: Optional[int] = None
-    #: Retry backoff policy: ``"exponential"`` (the historical
-    #: ``retry_backoff * 2**attempt``, bit-identical default) or
-    #: ``"decorrelated_jitter"`` (seeded AWS-style jitter).
-    backoff: str = ExponentialBackoff.name
-    #: Upper delay bound for the jitter policy (None: uncapped).
-    backoff_cap: Optional[float] = None
-    #: Seed for the jitter policy's per-chain draws.
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, str):
             object.__setattr__(self, "fault_plan",
                                FaultPlan.parse(self.fault_plan))
-        if self.backoff not in (ExponentialBackoff.name,
-                                DecorrelatedJitterBackoff.name):
-            raise ScanError(f"unknown backoff policy: {self.backoff!r}")
-        if self.probe_deadline is not None and self.probe_deadline <= 0:
-            raise ScanError(
-                f"probe_deadline must be positive: {self.probe_deadline}")
         if self.probe_interval <= 0 or self.duration <= 0:
             raise ScanError("probe interval and duration must be positive")
         if self.workers <= 0:
@@ -265,13 +242,8 @@ class ScanEngine:
         self._builders: Dict[str, _ReportBuilder] = {}
         self._reports: Dict[str, MonitorReport] = {}
         self._pops = 0
-        # Resilience plumbing: the backoff policy replaces the old
-        # inline ``retry_backoff * 2**attempt`` (the exponential
-        # default is bit-identical to it); breakers are keyed per TLD
-        # authority and created lazily on first probe.
-        self._backoff = make_backoff(
-            self.config.backoff, self.config.retry_backoff,
-            cap=self.config.backoff_cap, seed=self.config.backoff_seed)
+        # Breakers are keyed per TLD authority and created lazily on
+        # first probe.
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._resilience = get_resilience_metrics()
         self._log = get_logger("resilience")
@@ -579,22 +551,13 @@ class ScanEngine:
     def _maybe_retry(self, builder: _ReportBuilder, kind: RRType,
                      entry: ProbeEntry) -> None:
         if entry.attempt < self.config.max_retries:
-            delay = self._backoff.delay(entry.attempt, builder.domain,
-                                        kind.name)
-            if not isinstance(delay, int):
-                delay = max(1, int(round(delay)))
-            due = entry.due + delay
-            budget = self.config.probe_deadline
-            if budget is None or due - entry.nominal <= budget:
-                self.metrics.retries.inc()
-                self.scheduler.schedule_retry(
-                    builder.domain, kind, due=due,
-                    nominal=entry.nominal, attempt=entry.attempt + 1,
-                    grid_index=entry.grid_index)
-                return
-            # The instant's deadline budget cannot absorb another
-            # backoff; give up on it like an exhausted retry chain.
-            self._resilience.deadline_exhausted.inc()
+            self.metrics.retries.inc()
+            self.scheduler.schedule_retry(
+                builder.domain, kind,
+                due=entry.due + self.config.retry_backoff * 2 ** entry.attempt,
+                nominal=entry.nominal, attempt=entry.attempt + 1,
+                grid_index=entry.grid_index)
+            return
         # Retry chain exhausted for this instant.
         if kind is RRType.NS or self.config.dark_host_suppress_after is None:
             return

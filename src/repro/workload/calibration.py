@@ -96,6 +96,10 @@ FAST_DOMAIN_HISTORY_PROB = 0.85
 NS_CHANGE_PROB = 0.025
 #: Probability a delegation is lame (exercises NS-direct liveness).
 LAME_PROB = 0.01
+#: Fraction of fast-malicious volume arriving in bulk campaigns.
+CAMPAIGN_FRACTION = 0.5
+#: Pre-window zone population as a fraction of window NRD volume.
+BASELINE_FRACTION = 0.03
 
 
 @dataclass(frozen=True)

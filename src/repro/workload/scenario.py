@@ -27,7 +27,7 @@ from repro.czds.dzdb import DZDB
 from repro.dnscore.interned import configure_interner
 from repro.errors import (
     ConfigError,
-    ShardRetryExhausted,
+    ResilienceError,
     ValidationError,
     WorkerCrashError,
 )
@@ -100,18 +100,12 @@ class ScenarioConfig:
     ghost_certs: bool = True
     #: Disable held (serverHold) old registrations.
     held_domains: bool = True
-    #: Fraction of fast-malicious volume arriving in bulk campaigns.
-    campaign_fraction: float = 0.5
-    #: Pre-window zone population as a fraction of window NRD volume.
-    baseline_fraction: float = 0.03
     #: Scale override for the ccTLD ground-truth population (None:
     #: follow ``scale``).  The §4.4b bench uses 1.0 — the paper's .nl
     #: counts are small in absolute terms.
     cctld_scale: Optional[float] = None
     #: Snapshot cadence for the archive (Ablation A sweeps this).
     snapshot_interval: int = DAY
-    ns_change_prob: float = cal.NS_CHANGE_PROB
-    lame_prob: float = cal.LAME_PROB
     #: Worker processes for per-``(tld, month)`` world generation:
     #: 1 = serial (in-process), N > 1 = a pool of N, 0 = one per CPU
     #: core.  Any value produces the bit-identical world
@@ -121,18 +115,9 @@ class ScenarioConfig:
     parallel: int = 1
     #: Deterministic fault plan (``--fault-plan``); a string parses via
     #: :meth:`FaultPlan.parse`.  The supervised parallel build survives
-    #: injected ``worker.crash``/``worker.hang`` faults and still
-    #: produces the bit-identical world (docs/resilience.md).
+    #: injected ``worker.crash`` faults and still produces the
+    #: bit-identical world (docs/resilience.md).
     fault_plan: Optional[FaultPlan] = None
-    #: Resubmissions allowed per crashed/overrunning build shard before
-    #: the supervisor escalates (``--max-shard-retries``).
-    max_shard_retries: int = 2
-    #: Wall-clock seconds a shard may run before the supervisor
-    #: abandons the attempt (None: no deadline).
-    shard_deadline: Optional[float] = None
-    #: Rebuild a poison shard in-process after retries are exhausted;
-    #: False raises :class:`~repro.errors.ShardRetryExhausted` instead.
-    serial_fallback: bool = True
     #: Registered scenario plugin driving this build (``--scenario``);
     #: None builds the plain calibrated world — byte-identical to
     #: ``"baseline"`` (the identity plugin).  See
@@ -145,16 +130,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1:
             raise ConfigError("scale must be in (0, 1]")
-        if not 0 <= self.campaign_fraction <= 1:
-            raise ConfigError("campaign_fraction must be in [0, 1]")
         if self.parallel < 0:
             raise ConfigError("parallel must be >= 0 (0 = one per core)")
         if isinstance(self.fault_plan, str):
             self.fault_plan = FaultPlan.parse(self.fault_plan)
-        if self.max_shard_retries < 0:
-            raise ConfigError("max_shard_retries must be >= 0")
-        if self.shard_deadline is not None and self.shard_deadline <= 0:
-            raise ConfigError("shard_deadline must be positive")
         if self.scenario is not None:
             # Resolves name + knob names now, so a bad --scenario spec
             # fails before any build work (uniform exit-2 at the CLI).
@@ -255,17 +234,17 @@ def _cert_plan(rng: RngStream, profile: ActorProfile, domain: str,
 
 
 def _decorate_plan(plan: RegistrationPlan, rng: RngStream,
-                   config: ScenarioConfig, early_prob: float) -> None:
+                   early_prob: float) -> None:
     """Attach cert/NS-change/lameness decisions to a planned NRD."""
     plan.cert = _cert_plan(rng, plan.profile, plan.domain, early_prob)
-    if rng.bernoulli(config.ns_change_prob):
+    if rng.bernoulli(cal.NS_CHANGE_PROB):
         new_provider = plan.profile.dns_mix.pick(rng)
         if new_provider.name == plan.dns_provider.name:
             new_provider = plan.profile.dns_mix.pick(rng)
         plan.ns_change = NSChangePlan(
             delay_after_publish=int(rng.uniform(1 * HOUR, 20 * HOUR)),
             new_dns_provider=new_provider)
-    plan.lame = rng.bernoulli(config.lame_prob)
+    plan.lame = rng.bernoulli(cal.LAME_PROB)
 
 
 def _plan_month_for_tld(config: ScenarioConfig, targets: TLDTargets,
@@ -307,12 +286,12 @@ def _plan_month_for_tld(config: ScenarioConfig, targets: TLDTargets,
             dns_provider=profile.dns_mix.pick(rng),
             web_provider=profile.web_mix.pick(rng),
             removal_delay=removal)
-        _decorate_plan(plan, rng, config, early_prob)
+        _decorate_plan(plan, rng, early_prob)
         plans.append(plan)
 
     # --- fast-takedown (transient-class) volume ---------------------------------
     n_fast = targets.fast_takedown_count(month)
-    n_campaign = int(round(n_fast * config.campaign_fraction))
+    n_campaign = int(round(n_fast * cal.CAMPAIGN_FRACTION))
     n_single = n_fast - n_campaign
     fast_plans: List[RegistrationPlan] = []
     campaign_seq = 0
@@ -341,7 +320,7 @@ def _plan_month_for_tld(config: ScenarioConfig, targets: TLDTargets,
         if rng_random() < cal.TRANSIENT_CERT_COVERAGE:
             delay = plan.profile.cert.sample_delay(rng)
             plan.cert = CertPlan(delay_after_publish=delay)
-        plan.lame = rng.bernoulli(config.lame_prob)
+        plan.lame = rng.bernoulli(cal.LAME_PROB)
     plans.extend(fast_plans)
 
     # --- ghost certificates (DV-token reuse, cause iii) ---------------------------
@@ -506,7 +485,7 @@ def shard_estimates(config: ScenarioConfig,
                 n += tld_targets.held_count(month)
             if index == 0:
                 n += int(round(tld_targets.total_nrd
-                               * config.baseline_fraction))
+                               * cal.BASELINE_FRACTION))
             estimates[(tld, month)] = n
     return estimates
 
@@ -552,7 +531,7 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
         # Baseline zone population (pre-window, establishes snapshot 0)
         # rides in the first-month shard; its streams stay TLD-scoped
         # because exactly one shard ever touches them.
-        n_base = int(round(tld_targets.total_nrd * config.baseline_fraction))
+        n_base = int(round(tld_targets.total_nrd * cal.BASELINE_FRACTION))
         base_gen = NameGenerator(bank.stream("names", tld, "base"),
                                  namespace="b-")
         base_rng = bank.stream("gen", tld, "base")
@@ -669,13 +648,13 @@ def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
     registration rows, dirty zone ticks, DZDB intervals, DV-token
     seeds (by CA index), certificate-request events, and counters.  No
     lifecycle, CA, or timeline object crosses the process boundary.
-    The arrays depend only on the config and the shard, so a retried
-    or rebuilt shard returns the identical result.
+    The arrays depend only on the config and the shard, so a rebuilt
+    shard returns the identical result.
 
     Both the pool worker (:func:`_build_shard_worker`) and the
-    supervisor's in-process serial fallback for a poison shard call
-    this — the fallback must NOT run the worker wrapper, whose tracer
-    reset would wipe the parent's live spans.
+    supervisor's in-process rebuild of a failed shard call this — the
+    rebuild must NOT run the worker wrapper, whose tracer reset would
+    wipe the parent's live spans.
     """
     bank = StreamBank(config.seed)
     bank.stream("capick").fast_forward(capick_offset)
@@ -697,22 +676,19 @@ def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
 
 def _build_shard_worker(
         payload: Tuple[ScenarioConfig, TLDTargets, str, int,
-                       Optional[float], int]):
+                       Optional[float]]):
     """Worker entry point: one ``(tld, month)`` shard in a pool process.
 
     Wraps :func:`_build_shard_arrays` with the per-process concerns —
     tracer reset, optional sampling profiler, GC pause, interner
     sizing — and with the build-side fault injection: when the
-    scenario's fault plan fires ``worker.hang`` the worker sleeps
-    before doing any work (exercising the supervisor's shard
-    deadline), and ``worker.crash`` raises
-    :class:`~repro.errors.WorkerCrashError` so the supervisor sees a
+    scenario's fault plan fires ``worker.crash`` the worker raises
+    :class:`~repro.errors.WorkerCrashError`, so the supervisor sees a
     failed future exactly as it would for a real worker bug.  Fault
     targets match the ``tld:month`` shard label (``fnmatch``
     patterns like ``com:*`` or ``*:2023-12`` select shards).  The
     injection decision is a pure function of ``(plan seed, tld,
-    month, attempt)``, so retries of the same shard re-roll
-    deterministically.
+    month)``.
 
     The worker instruments itself: its (forked) process tracer is
     reset and records a ``build.populate_shard`` span, and when the
@@ -722,23 +698,16 @@ def _build_shard_worker(
     parent to stitch (:meth:`Tracer.adopt_spans` /
     :meth:`SamplingProfiler.merge_counts`).
     """
-    config, tld_targets, month, capick_offset, profile_interval, attempt = (
-        payload)
+    config, tld_targets, month, capick_offset, profile_interval = payload
     trace = tracer()
     trace.detach_sink()   # the inherited sink handle belongs to the parent
     trace.reset()
     tld = tld_targets.tld
     label = f"{tld}:{month}"
     plan = config.fault_plan
-    if plan is not None:
-        hang = plan.fires("worker.hang", tld, month,
-                          target=label, attempt=attempt)
-        if hang is not None and hang.delay > 0:
-            time.sleep(hang.delay)
-        if plan.fires("worker.crash", tld, month,
-                      target=label, attempt=attempt):
-            raise WorkerCrashError(
-                f"injected worker crash: shard {label} attempt {attempt}")
+    if plan is not None and plan.fires("worker.crash", tld, month,
+                                       target=label):
+        raise WorkerCrashError(f"injected worker crash: shard {label}")
     profiler: Optional[SamplingProfiler] = None
     if profile_interval is not None:
         profiler = SamplingProfiler(interval=profile_interval).start()
@@ -810,18 +779,16 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     the ``progress`` gauges additionally expose ``shards done/total``
     and the longest-in-flight shard label for the heartbeat.
 
-    Supervision: a shard whose future crashes (a real worker bug or an
-    injected ``worker.crash``) or overruns ``config.shard_deadline``
-    is resubmitted up to ``config.max_shard_retries`` times; a shard
-    that is still failing then is rebuilt in-process via
-    :func:`_build_shard_arrays` (``config.serial_fallback``, the
-    default) or the build raises
-    :class:`~repro.errors.ShardRetryExhausted`.  A worker that dies at
-    the OS level breaks the whole pool; every shard without a result
-    then takes the same serial fallback.  Nothing from a failed
-    attempt is applied and shard results are deterministic, so
-    recovery is invisible to the world bytes: the fingerprint under
-    injected crashes equals the fault-free one (``docs/resilience.md``).
+    Supervision has one recovery path: a shard whose future raises (a
+    real worker bug or an injected ``worker.crash``), or that is lost
+    when a worker dies at the OS level and breaks the pool, is rebuilt
+    in-process via :func:`_build_shard_arrays` in canonical order once
+    the pool has drained.  Shard results are deterministic, so a
+    resubmission could only recover from a fault that re-rolls per
+    attempt; the rebuild recovers from every fault the pool can see.
+    Nothing from a failed attempt is applied, so recovery is invisible
+    to the world bytes: the fingerprint under injected crashes equals
+    the fault-free one (``docs/resilience.md``).
     """
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -859,7 +826,6 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     worker_ids: Dict[int, int] = {}
     metrics = get_resilience_metrics()
     log = get_logger("resilience")
-    deadline = config.shard_deadline
     progress = build_progress()
 
     months = cal.MONTH_KEYS
@@ -871,14 +837,11 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     #: Merged shards' scenario-global results, applied in canonical
     #: order at the end.
     deferred: Dict[ShardKey, tuple] = {}
-    #: Poison shards headed for the in-process serial fallback.
+    #: Failed shards headed for the in-process rebuild.
     fallback: Set[ShardKey] = set()
 
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    pending: Dict[object, Tuple[ShardKey, int, float]] = {}
-    #: Futures whose hung workers were abandoned past the deadline; a
-    #: slot may still be burning, so shutdown must not wait on them.
-    abandoned = 0
+    pending: Dict[object, Tuple[ShardKey, float]] = {}
 
     progress.set_shards_source(lambda: (len(deferred), len(keys)))
 
@@ -886,7 +849,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         entries = list(pending.values())
         if not entries:
             return ""
-        key, _attempt, _t0 = min(entries, key=lambda e: e[2])
+        key, _t0 = min(entries, key=lambda e: e[1])
         return shard_label(key)
 
     progress.set_current_shard_source(_slowest_shard)
@@ -916,50 +879,19 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             profiler.merge_counts(profile_counts)
         landed[key] = arrays
 
-    def handle_failure(key: ShardKey, attempt: int, reason: str,
-                       resubmit: Callable[[ShardKey, int], None]) -> None:
-        label = shard_label(key)
+    def rebuild_later(key: ShardKey, reason: str) -> None:
         metrics.worker_failures.labels(reason=reason).inc()
-        if attempt < config.max_shard_retries:
-            metrics.shard_retries.inc()
-            log.warning(f"build shard {label} {reason} "
-                        f"(attempt {attempt}); retrying",
-                        tld=key[0], month=key[1], attempt=attempt,
-                        reason=reason)
-            with span("recovery.shard_retry", tld=key[0], month=key[1],
-                      attempt=attempt + 1, reason=reason):
-                resubmit(key, attempt + 1)
-            return
-        if config.serial_fallback:
-            metrics.serial_fallbacks.inc()
-            log.warning(f"build shard {label} exhausted "
-                        f"{config.max_shard_retries} retries; "
-                        f"rebuilding in-process",
-                        tld=key[0], month=key[1], attempt=attempt,
-                        reason=reason)
-            fallback.add(key)
-            return
-        raise ShardRetryExhausted(
-            f"build shard {label} failed {attempt + 1} attempt(s) "
-            f"({reason}) and serial fallback is disabled")
-
-    def submit(key: ShardKey, attempt: int) -> None:
-        future = pool.submit(_build_shard_worker, payloads[key] + (attempt,))
-        pending[future] = (key, attempt, time.monotonic())
+        metrics.serial_fallbacks.inc()
+        fallback.add(key)
 
     try:
         for key in submission:
-            submit(key, 0)
+            future = pool.submit(_build_shard_worker, payloads[key])
+            pending[future] = (key, time.monotonic())
         while pending:
-            timeout = None
-            if deadline is not None:
-                next_overrun = min(t0 + deadline
-                                   for _, _, t0 in pending.values())
-                timeout = max(0.01, next_overrun - time.monotonic())
-            done, _ = wait(set(pending), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
+            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
             for future in done:
-                key, attempt, _t0 = pending.pop(future)
+                key = pending.pop(future)[0]
                 try:
                     result = future.result()
                 except BrokenProcessPool:
@@ -968,44 +900,29 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
                     if isinstance(exc, WorkerCrashError):
                         metrics.faults_injected.labels(
                             kind="worker.crash").inc()
-                    handle_failure(key, attempt, "crash", submit)
+                    log.warning(f"build shard {shard_label(key)} crashed; "
+                                f"rebuilding in-process",
+                                tld=key[0], month=key[1], reason="crash")
+                    rebuild_later(key, "crash")
                     continue
                 record_result(key, result)
-            if deadline is not None:
-                now = time.monotonic()
-                for future, (key, attempt, t0) in list(pending.items()):
-                    if now - t0 >= deadline:
-                        pending.pop(future)
-                        if not future.cancel():
-                            abandoned += 1
-                        handle_failure(key, attempt, "deadline", submit)
             advance_merge()
     except BrokenProcessPool:
         # A worker died at the OS level (segfault, OOM kill): the pool
-        # is unusable and every in-flight shard is lost.  Route every
-        # shard without a result through the serial fallback rather
-        # than killing the run.
+        # is unusable and every in-flight shard is lost.  Rebuild every
+        # shard without a result in-process rather than killing the run.
         pending.clear()
         lost = [key for key in keys
                 if key not in deferred and key not in landed
                 and key not in fallback]
-        if not config.serial_fallback:
-            raise ShardRetryExhausted(
-                "worker pool broke; lost shards: "
-                + ", ".join(map(shard_label, lost)))
         log.error("worker pool broke; rebuilding lost shards in-process",
                   shards=",".join(map(shard_label, lost)))
         for key in lost:
-            metrics.worker_failures.labels(reason="pool_broken").inc()
-            metrics.serial_fallbacks.inc()
-        fallback.update(lost)
+            rebuild_later(key, "pool_broken")
     finally:
-        # A worker abandoned past its deadline may still be burning a
-        # slot; only wait for the pool when every worker is accounted
-        # for (orphans are joined at interpreter exit).
-        pool.shutdown(wait=abandoned == 0, cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
-    # Settle the stragglers in canonical order: rebuild poison shards
+    # Settle the stragglers in canonical order: rebuild failed shards
     # in-process, and let each settled shard unblock the landed months
     # behind it.
     for key in keys:
@@ -1017,7 +934,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         advance_merge()
     if len(deferred) != len(keys):  # impossible by construction; loud > quiet
         missing = [shard_label(k) for k in keys if k not in deferred]
-        raise ShardRetryExhausted(
+        raise ResilienceError(
             f"shards never merged: {', '.join(missing)}")
 
     for key in sorted(deferred):
@@ -1199,7 +1116,7 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
                         registrar=profile.registrar_mix.pick(cc_rng),
                         dns_provider=profile.dns_mix.pick(cc_rng),
                         web_provider=profile.web_mix.pick(cc_rng))
-                    _decorate_plan(plan, cc_rng, config, early_prob=0.55)
+                    _decorate_plan(plan, cc_rng, early_prob=0.55)
                     lifecycle = _execute_registration(plan, registry,
                                                       cc_exec)
                     if (plan.cert is not None

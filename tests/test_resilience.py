@@ -21,24 +21,19 @@ from hypothesis import strategies as st
 
 from repro.core.feed import FeedRecord, PublicFeed, read_jsonl_records
 from repro.errors import (
-    CircuitOpenError,
     ConfigError,
     ReproError,
     ResilienceError,
     SegmentCorruptionError,
-    ShardRetryExhausted,
     WorkerCrashError,
 )
 from repro.resilience import (
     BreakerConfig,
     CircuitBreaker,
-    DecorrelatedJitterBackoff,
-    ExponentialBackoff,
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     get_resilience_metrics,
-    make_backoff,
     reset_resilience_metrics,
 )
 from repro.scan import ScanConfig, ScanEngine
@@ -102,7 +97,7 @@ class TestFaultPlan:
     def test_parse_file(self, tmp_path):
         spec = tmp_path / "plan.json"
         spec.write_text(json.dumps(
-            {"seed": 2, "faults": [{"kind": "worker.hang", "delay": 3}]}))
+            {"seed": 2, "faults": [{"kind": "scan.latency", "delay": 3}]}))
         plan = FaultPlan.parse(str(spec))
         assert plan.specs[0].delay == 3.0
 
@@ -295,40 +290,6 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Backoff policies
-# ---------------------------------------------------------------------------
-
-class TestBackoff:
-    def test_exponential_matches_historical_expression(self):
-        policy = ExponentialBackoff(600)
-        for attempt in range(6):
-            assert policy.delay(attempt, "d.com", "NS") == 600 * 2 ** attempt
-            assert isinstance(policy.delay(attempt), int)
-
-    def test_jitter_is_deterministic_per_key(self):
-        a = DecorrelatedJitterBackoff(10.0, cap=300.0, seed=3)
-        b = DecorrelatedJitterBackoff(10.0, cap=300.0, seed=3)
-        chain_a = [a.delay(n, "d.com") for n in range(5)]
-        chain_b = [b.delay(n, "d.com") for n in range(5)]
-        assert chain_a == chain_b
-        assert chain_a != [a.delay(n, "other.com") for n in range(5)]
-
-    def test_jitter_bounds(self):
-        policy = DecorrelatedJitterBackoff(10.0, cap=120.0, seed=1)
-        for n in range(8):
-            for key in ("x", "y", "z"):
-                assert 10.0 <= policy.delay(n, key) <= 120.0
-
-    def test_factory(self):
-        assert isinstance(make_backoff("exponential", 5),
-                          ExponentialBackoff)
-        assert isinstance(make_backoff("decorrelated_jitter", 5, cap=60),
-                          DecorrelatedJitterBackoff)
-        with pytest.raises(ConfigError):
-            make_backoff("fibonacci", 5)
-
-
-# ---------------------------------------------------------------------------
 # Supervised parallel build: chaos determinism
 # ---------------------------------------------------------------------------
 
@@ -338,14 +299,14 @@ class TestSupervisedBuild:
         return world_fingerprint(build_world(config))
 
     def test_crash_recovery_reproduces_fingerprint(self):
-        # Every (tld, month) shard's first attempt crashes; every
-        # retry succeeds and the merged world is bit-identical.
+        # Every (tld, month) shard's worker crashes; every shard is
+        # rebuilt in-process and the merged world is bit-identical.
         fp = self._fingerprint(
             parallel=4,
             fault_plan="seed=3;worker.crash:rate=1.0,fires=1")
         assert fp == TINY_FINGERPRINT
         snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_shard_retries_total"] == TINY_SHARDS
+        assert snap["resilience_serial_fallbacks_total"] == TINY_SHARDS
         assert (snap["resilience_worker_failures_total"]
                 == {"crash": TINY_SHARDS})
 
@@ -353,28 +314,21 @@ class TestSupervisedBuild:
         # Fault targets match shard labels ("tld:month"), so a glob
         # poisons all three monthly shards of one TLD.
         fp = self._fingerprint(
-            parallel=2, max_shard_retries=1,
+            parallel=2,
             fault_plan="seed=3;worker.crash:rate=1.0,target=xyz:*")
         assert fp == TINY_FINGERPRINT
         snap = get_resilience_metrics().snapshot()
         assert snap["resilience_serial_fallbacks_total"] == 3
+        # One failure per shard: a crashed shard is never resubmitted.
+        assert snap["resilience_worker_failures_total"] == {"crash": 3}
 
     def test_single_shard_poison_falls_back_once(self):
         fp = self._fingerprint(
-            parallel=2, max_shard_retries=1,
+            parallel=2,
             fault_plan="seed=3;worker.crash:rate=1.0,target=com:2023-12")
         assert fp == TINY_FINGERPRINT
         snap = get_resilience_metrics().snapshot()
         assert snap["resilience_serial_fallbacks_total"] == 1
-
-    def test_hang_deadline_reproduces_fingerprint(self):
-        fp = self._fingerprint(
-            parallel=2, shard_deadline=0.5,
-            fault_plan="seed=3;worker.hang:rate=1.0,fires=1,"
-                       "target=com:2023-11,delay=5")
-        assert fp == TINY_FINGERPRINT
-        snap = get_resilience_metrics().snapshot()
-        assert snap["resilience_worker_failures_total"]["deadline"] >= 1
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -400,12 +354,6 @@ class TestSupervisedBuild:
         assert 1 <= lost <= TINY_SHARDS
         assert snap["resilience_serial_fallbacks_total"] == lost
 
-    def test_fallback_disabled_raises(self):
-        with pytest.raises(ShardRetryExhausted):
-            self._fingerprint(
-                parallel=2, max_shard_retries=0, serial_fallback=False,
-                fault_plan="seed=3;worker.crash:rate=1.0,target=com:*")
-
     def test_chaos_matches_golden_fingerprint(self):
         """The acceptance gate: a crash-ridden --jobs 4 build at the
         canonical 1/500 point reproduces the serial golden fingerprint
@@ -421,10 +369,6 @@ class TestSupervisedBuild:
         config = ScenarioConfig(**TINY,
                                 fault_plan="worker.crash:rate=0.5")
         assert isinstance(config.fault_plan, FaultPlan)
-
-    def test_bad_retry_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(**TINY, max_shard_retries=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -474,26 +418,6 @@ class TestScanChaos:
         engine_b, _ = _storm_engine("")
         assert engine_a.observe_all(starts) == engine_b.observe_all(starts)
 
-    def test_probe_deadline_bounds_retries(self):
-        # Default backoff chain is 5s then 10s; a 6s budget admits the
-        # first retry of each instant and refuses the second.
-        engine, starts = _storm_engine(
-            "seed=2;scan.timeout:rate=1.0",
-            probe_deadline=6)
-        engine.observe_all(starts)
-        assert get_resilience_metrics().snapshot()[
-            "resilience_deadline_exhausted_total"] > 0
-
-    def test_jitter_backoff_policy_accepted(self):
-        engine, starts = _storm_engine(
-            "seed=2;scan.timeout:rate=0.5",
-            backoff="decorrelated_jitter", backoff_cap=3600.0,
-            backoff_seed=4)
-        assert len(engine.observe_all(starts)) == len(starts)
-
-    def test_unknown_backoff_rejected(self):
-        with pytest.raises(ReproError):
-            ScanConfig(backoff="fibonacci")
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +625,7 @@ class TestFeedQuarantine:
 
 class TestErrorContract:
     def test_hierarchy(self):
-        for exc in (WorkerCrashError, ShardRetryExhausted,
-                    CircuitOpenError, SegmentCorruptionError):
+        for exc in (WorkerCrashError, SegmentCorruptionError):
             assert issubclass(exc, ResilienceError)
             assert issubclass(exc, ReproError)
 

@@ -359,6 +359,32 @@ class TestEngineBehaviour:
         # (3 instants × (1 + 2 retries) × 2 qtypes = 18 probes).
         assert engine.metrics.probes_sent.value == grid + 18
 
+    def test_retry_schedule_doubles_from_retry_backoff(self):
+        # Under a total timeout storm every NS instant runs its whole
+        # retry chain: retry 1 is due retry_backoff (5 s) after the
+        # failed probe, and each later retry doubles the wait (10 s,
+        # then 20 s).
+        registry = build_registry()
+        lc = register(registry, "live.com", 10_000)
+        store = ProbeResultStore()
+        config = ScanConfig(probe_interval=10 * MINUTE, duration=6 * HOUR,
+                            max_retries=3,
+                            fault_plan="seed=2;scan.timeout:rate=1.0")
+        engine = ScanEngine(RegistryGroup([registry]), config, store=store)
+        engine.observe("live.com", lc.zone_added_at)
+        chains = {}
+        for row in store.for_domain("live.com"):
+            if row["qtype"] == "NS":
+                chains.setdefault(row["nominal_ts"], []).append(
+                    (row["attempt"], row["ts"] - row["nominal_ts"]))
+        assert len(chains) == 6 * HOUR // (10 * MINUTE)
+        # The domain finalises once its last grid instant has run, so
+        # only that instant's retries never execute.
+        final = max(chains)
+        for nominal, chain in chains.items():
+            if nominal != final:
+                assert chain == [(0, 0), (1, 5), (2, 15), (3, 35)]
+
     def test_observe_is_idempotent(self):
         registry = build_registry()
         lc = register(registry, "live.com", 10_000)
