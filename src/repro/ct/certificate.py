@@ -101,16 +101,15 @@ def make_precert(serial: int, domain: str, issuer: str, issued_at: int,
     Let's Encrypt-style issuance covers the bare domain plus ``www.``;
     ``extra_sans`` lets workload models add subdomains.
     """
-    # Every SAN is interned (and its label caches warmed) at
-    # generation, so the detector and any later consumer receive Names
-    # whose string facts are already computed — and the retained label
-    # tuples are allocated here, under the world build's GC pause,
-    # rather than mid-measurement.
-    norm = dnsname.normalize(domain).warm()
+    # Every SAN is interned at generation, so the detector and any
+    # later consumer receive Names by identity.  Nothing else is
+    # precomputed: a name's registrable domain is derived (and cached)
+    # the first time a PSL asks for it, and its labels never are kept.
+    norm = dnsname.normalize(domain)
     sans = [norm]
     if include_www:
-        sans.append(dnsname.normalize(f"www.{norm}").warm())
-    sans.extend(dnsname.normalize(s).warm() for s in extra_sans)
+        sans.append(dnsname.normalize(f"www.{norm}"))
+    sans.extend(dnsname.normalize(s) for s in extra_sans)
     return Certificate(
         serial=serial,
         common_name=norm,

@@ -27,15 +27,17 @@ from repro.errors import DNSError
 def _registrable_guess(qname: str):
     """Last two labels of ``qname``, interned.
 
-    Query names are normalised at construction, so this is slot reads
-    plus (for subdomain queries) one intern of an already-known name —
-    downstream oracle lookups (``Registry.delegation_at`` etc.) then
-    re-normalise by identity.
+    Query names are normalised at construction, so this is an identity
+    lookup plus (for subdomain queries) one slice and one intern of an
+    already-known name — downstream oracle lookups
+    (``Registry.delegation_at`` etc.) then re-normalise by identity.
     """
     name = intern_name(qname)
-    if len(name.labels) <= 2:
+    last = str.rfind(name, ".")
+    cut = str.rfind(name, ".", 0, last) if last > 0 else -1
+    if cut < 0:
         return name
-    return intern_name(".".join(name.labels[-2:]))
+    return intern_name(str.__getitem__(name, slice(cut + 1, None)))
 
 
 class AuthorityBackend(Protocol):

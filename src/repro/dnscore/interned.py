@@ -11,10 +11,12 @@ across every layer instead of another point cache:
   subclass.  Being a ``str`` means a ``Name`` flows through every
   existing API unchanged (dict keys, ``join``, sorting, formatting,
   fingerprinting are all bit-identical), while the extra slots cache
-  the derived facts: the labels tuple, the reversed-labels tuple (the
-  PSL matcher's input), the TLD, the wildcard-stripped form, and —
-  lazily, keyed per PSL — the registrable domain.  Each fact is
-  computed at most once per distinct name for the process lifetime.
+  the derived facts every layer asks for: the TLD (one shared string
+  per TLD), the wildcard-stripped form, and — lazily, keyed per PSL —
+  the registrable domain.  The registrable cache is what bounds the
+  PSL work: one suffix match per (name, PSL) for the process
+  lifetime.  Labels are *not* retained; the rare callers that need
+  them split on the spot.
 * :class:`NameTable` — the process interner that replaces the old
   ``normalize`` lru_cache.  Canonical names are interned forever
   (never evicted mid-run; a run's working set *is* the world's name
@@ -76,7 +78,7 @@ class Name(str):
     equal-by-construction values (the lazy caches).
     """
 
-    __slots__ = ("tld", "_labels", "_rlabels", "_stripped",
+    __slots__ = ("tld", "_stripped",
                  "_psl_ref", "_psl_version", "_registrable",
                  "_psl_ref2", "_psl_version2", "_registrable2")
 
@@ -91,25 +93,17 @@ class Name(str):
         # builds instances via ``str.__new__``, which skips this.)
         return intern_name(text)
 
-    # -- derived facts, each computed at most once ------------------------------
+    # -- derived facts ------------------------------------------------------------
 
     @property
     def labels(self) -> Tuple[str, ...]:
-        """Labels left to right; the root has none."""
-        parts = self._labels
-        if parts is None:
-            parts = tuple(str.split(self, ".")) if self else ()
-            self._labels = parts
-        return parts
+        """Labels left to right; the root has none.  Built per call."""
+        return tuple(str.split(self, ".")) if self else ()
 
     @property
     def rlabels(self) -> Tuple[str, ...]:
         """Labels right to left (TLD first) — the PSL matcher's input."""
-        rlabels = self._rlabels
-        if rlabels is None:
-            rlabels = self.labels[::-1]
-            self._rlabels = rlabels
-        return rlabels
+        return tuple(str.split(self, ".")[::-1]) if self else ()
 
     @property
     def is_wildcard(self) -> bool:
@@ -126,25 +120,7 @@ class Name(str):
 
     def parent_name(self) -> "Name":
         """Immediate parent as an interned name; the root's is the root."""
-        parts = self.labels
-        return intern_name(".".join(parts[1:]) if parts else "")
-
-    def warm(self) -> "Name":
-        """Force the lazy label caches; returns self.
-
-        Generation-time hook: the scenario builder interns every
-        certificate SAN while the world is materialising (with the
-        cyclic GC paused), so the tuples these caches retain are
-        allocated where they are cheapest and the measurement-side hot
-        loops allocate nothing that survives.
-        """
-        parts = self._labels
-        if parts is None:
-            parts = tuple(str.split(self, ".")) if self else ()
-            self._labels = parts
-        if self._rlabels is None:
-            self._rlabels = parts[::-1]
-        return self
+        return intern_name(str.partition(self, ".")[2])
 
     def registrable(self, psl) -> Optional["Name"]:
         """Registrable (pay-level) domain under ``psl``, or None.
@@ -205,21 +181,14 @@ class Name(str):
     def _suffix_split(self, psl) -> Optional["Name"]:
         """PSL match over this name's own labels, no wildcard handling.
 
-        The label caches are inlined rather than read through the
-        properties: this is the single hottest compute site.
+        Runs once per (name, PSL) behind the :meth:`registrable` cache,
+        so the labels are split here and dropped, not kept on the name.
         """
-        labels = self._labels
-        if labels is None:
-            labels = tuple(str.split(self, ".")) if self else ()
-            self._labels = labels
-        rlabels = self._rlabels
-        if rlabels is None:
-            rlabels = labels[::-1]
-            self._rlabels = rlabels
-        if not rlabels:
+        if not self:
             return None
-        depth = len(rlabels)
-        suffix = psl._suffix_length(rlabels)
+        labels = str.split(self, ".")
+        depth = len(labels)
+        suffix = psl._suffix_length(tuple(labels[::-1]))
         if depth <= suffix:
             return None
         if depth == suffix + 1:
@@ -269,12 +238,14 @@ class NameTable:
     #: Alias-memo bound when no expectation has been registered.
     DEFAULT_ALIAS_LIMIT = 1 << 17
 
-    __slots__ = ("_by_text", "_aliases", "alias_limit", "expected",
+    __slots__ = ("_by_text", "_aliases", "_tlds", "alias_limit", "expected",
                  "hits", "misses", "alias_hits")
 
     def __init__(self, expected: Optional[int] = None) -> None:
         self._by_text: Dict[str, Name] = {}
         self._aliases: Dict[str, Name] = {}
+        #: One string per TLD, shared by every name under it.
+        self._tlds: Dict[str, str] = {}
         self.expected = 0
         self.alias_limit = self.DEFAULT_ALIAS_LIMIT
         self.hits = 0
@@ -329,7 +300,7 @@ class NameTable:
                 f"domain name must be str, got {type(raw).__name__}")
         if _CANONICAL_RE.match(raw):
             self.misses += 1
-            name = self._build(raw, None)
+            name = self._build(raw)
             self._by_text[name] = name
             return name
         alias = self._aliases.get(raw)
@@ -352,7 +323,7 @@ class NameTable:
         name = self._by_text.get(canonical)
         if name is None:
             self.misses += 1
-            name = self._build(canonical, tuple(labels))
+            name = self._build(canonical)
             self._by_text[name] = name
         else:
             self.hits += 1
@@ -362,12 +333,10 @@ class NameTable:
             self._aliases[raw] = name
         return name
 
-    @staticmethod
-    def _build(text: str, labels: Optional[Tuple[str, ...]]) -> Name:
+    def _build(self, text: str) -> Name:
         name = str.__new__(Name, text)
-        name.tld = text.rpartition(".")[2] if text else ""
-        name._labels = labels
-        name._rlabels = None
+        tld = text.rpartition(".")[2]
+        name.tld = self._tlds.setdefault(tld, tld)
         name._stripped = None
         name._psl_ref = None
         name._psl_version = -1

@@ -65,7 +65,8 @@ def labels(name: str) -> List[str]:
 
 
 def label_count(name: str) -> int:
-    return len(intern_name(name).labels)
+    norm = intern_name(name)
+    return str.count(norm, ".") + 1 if norm else 0
 
 
 def parent(name: str) -> Name:

@@ -551,12 +551,16 @@ class ScanEngine:
     def _maybe_retry(self, builder: _ReportBuilder, kind: RRType,
                      entry: ProbeEntry) -> None:
         if entry.attempt < self.config.max_retries:
-            self.metrics.retries.inc()
-            self.scheduler.schedule_retry(
-                builder.domain, kind,
-                due=entry.due + self.config.retry_backoff * 2 ** entry.attempt,
-                nominal=entry.nominal, attempt=entry.attempt + 1,
-                grid_index=entry.grid_index)
+            # The final grid instant finalises the domain as soon as its
+            # probes return, which drops any retry queued behind it, so
+            # only earlier instants' retries are queued and counted.
+            if entry.grid_index + 1 < entry.state.grid_len:
+                self.metrics.retries.inc()
+                self.scheduler.schedule_retry(
+                    builder.domain, kind,
+                    due=entry.due + self.config.retry_backoff * 2 ** entry.attempt,
+                    nominal=entry.nominal, attempt=entry.attempt + 1,
+                    grid_index=entry.grid_index)
             return
         # Retry chain exhausted for this instant.
         if kind is RRType.NS or self.config.dark_host_suppress_after is None:

@@ -15,7 +15,8 @@ strategies observe identical answers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import (Generic, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.errors import SimulationError
 
@@ -29,13 +30,18 @@ class Timeline(Generic[V]):
     change at an existing timestamp overwrites that change point (last
     write wins), mirroring how a registry's provisioning system applies
     same-second updates.
+
+    The change points are held in tuples until the first :meth:`set`,
+    which switches them to lists: most timelines are built whole and
+    never change (a fresh registration's three histories hold one point
+    each), and a tuple is the smallest container for them.
     """
 
     __slots__ = ("_times", "_values", "_initial")
 
     def __init__(self, initial: Optional[V] = None) -> None:
-        self._times: List[int] = []
-        self._values: List[V] = []
+        self._times: Sequence[int] = ()
+        self._values: Sequence[V] = ()
         self._initial: Optional[V] = initial
 
     # -- construction ---------------------------------------------------------
@@ -43,17 +49,26 @@ class Timeline(Generic[V]):
     def set(self, ts: int, value: V) -> None:
         """Record that the value becomes ``value`` at time ``ts``."""
         ts = int(ts)
-        if self._times and ts < self._times[-1]:
+        times = self._times
+        if times and ts < times[-1]:
             raise SimulationError(
-                f"timeline updates must be time-ordered: {ts} < {self._times[-1]}")
-        if self._times and ts == self._times[-1]:
+                f"timeline updates must be time-ordered: {ts} < {times[-1]}")
+        if times and ts == times[-1]:
+            self._thaw()
             self._values[-1] = value
             return
         # Skip no-op changes so segment counts stay minimal.
         if value == (self._values[-1] if self._values else self._initial):
             return
+        self._thaw()
         self._times.append(ts)
         self._values.append(value)
+
+    def _thaw(self) -> None:
+        """Switch the change points from tuples to lists, once."""
+        if type(self._times) is tuple:
+            self._times = list(self._times)
+            self._values = list(self._values)
 
     @classmethod
     def constant(cls, value: V) -> "Timeline[V]":
@@ -72,13 +87,7 @@ class Timeline(Generic[V]):
         ordering or no-op checks are re-run.
         """
         timeline = object.__new__(cls)
-        times: List[int] = []
-        values: List[V] = []
-        for ts, value in changes:
-            times.append(ts)
-            values.append(value)
-        timeline._times = times
-        timeline._values = values
+        timeline._times, timeline._values = tuple(zip(*changes)) or ((), ())
         timeline._initial = initial
         return timeline
 
@@ -91,8 +100,8 @@ class Timeline(Generic[V]):
         fresh registration creates, three timelines at a time.
         """
         timeline = object.__new__(cls)
-        timeline._times = [int(ts)]
-        timeline._values = [value]
+        timeline._times = (int(ts),)
+        timeline._values = (value,)
         timeline._initial = None
         return timeline
 

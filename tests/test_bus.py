@@ -1,5 +1,8 @@
 """Tests for the topic broker and the columnar store."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.bus.broker import Broker, TOPIC_CANDIDATES
@@ -14,6 +17,16 @@ class TestBroker:
         message = broker.produce("events", "key1", {"v": 1}, timestamp=100)
         assert message.offset == 0
         assert broker.topic("events").total_messages() == 1
+
+    def test_message_is_slotted_and_still_copies(self):
+        # Every produced message is kept for the run, so none carries a
+        # __dict__; the frozen slots must still pickle and copy.
+        message = Broker().produce("events", "key1", {"v": 1}, timestamp=100)
+        assert not hasattr(message, "__dict__")
+        assert pickle.loads(pickle.dumps(message)) == message
+        assert copy.deepcopy(message) == message
+        with pytest.raises(AttributeError):
+            message.offset = 1
 
     def test_duplicate_topic_rejected(self):
         broker = Broker()

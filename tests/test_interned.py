@@ -374,6 +374,32 @@ class TestRegistrableTwoSlotCache:
         assert name.registrable(two) == "co.test"
 
 
+class TestRetainedState:
+    """A Name keeps its TLD, stripped form and registrable cache; its
+    labels are split per call and never kept."""
+
+    def test_slots_hold_no_label_caches(self):
+        assert not [slot for slot in Name.__slots__ if "label" in slot]
+        assert not hasattr(Name, "warm")
+
+    def test_registrable_matches_once_per_name_and_psl(self):
+        psl = _CountingPsl(rules=["test", "co.test"])
+        sites = [f"site-{i}.co.test" for i in range(10)]
+        names = [(intern_name(host + site), site)
+                 for site in sites for host in ("", "www.", "*.")]
+        for _ in range(3):
+            for name, site in names:
+                assert name.registrable(psl) == site
+        # One match per distinct name; "*.site" shares "site"'s entry.
+        assert psl.matches == 2 * len(sites)
+
+    def test_names_under_one_tld_share_its_string(self):
+        one = intern_name("first-shared.example")
+        two = intern_name("www.second-shared.example")
+        assert one.tld == "example"
+        assert one.tld is two.tld
+
+
 class TestDetectorEquivalence:
     def test_bulk_run_matches_per_event_processing(self):
         """The detector's inlined bulk loop is observably identical to

@@ -385,6 +385,22 @@ class TestEngineBehaviour:
             if nominal != final:
                 assert chain == [(0, 0), (1, 5), (2, 15), (3, 35)]
 
+    def test_retries_count_only_executed_retries(self):
+        # A retry of the final grid instant would be dropped when the
+        # domain finalises, so it is neither queued nor counted: every
+        # counted retry is a row of the store.
+        registry = build_registry()
+        lc = register(registry, "live.com", 10_000)
+        store = ProbeResultStore()
+        config = ScanConfig(probe_interval=10 * MINUTE, duration=6 * HOUR,
+                            fault_plan="seed=2;scan.timeout:rate=1.0")
+        engine = ScanEngine(RegistryGroup([registry]), config, store=store)
+        engine.observe("live.com", lc.zone_added_at)
+        retried = sum(1 for row in store.for_domain("live.com")
+                      if row["attempt"] > 0)
+        assert retried > 0
+        assert engine.metrics.retries.value == retried
+
     def test_observe_is_idempotent(self):
         registry = build_registry()
         lc = register(registry, "live.com", 10_000)

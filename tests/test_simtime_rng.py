@@ -383,7 +383,7 @@ class TestStreamBank:
 
 class TestStableHashMemo:
     def test_memo_returns_identical_values(self):
-        # Same digest whether the (text, salt) pair is cold or memoised.
+        # Same digest on every call for the same (text, salt) pair.
         first = stable_hash01("memo-domain.com", "saltx")
         again = stable_hash01("memo-domain.com", "saltx")
         assert first == again
@@ -392,6 +392,21 @@ class TestStableHashMemo:
         h = hashlib.blake2b(digest_size=8)
         h.update(b"saltx\x00memo-domain.com")
         assert first == int.from_bytes(h.digest(), "big") / 2.0 ** 64
+
+    def test_distinct_keys_retain_nothing(self):
+        # Keys almost never repeat, so no per-key result may outlive
+        # its call (only the per-salt hasher is cached).
+        import tracemalloc
+        stable_hash01("warm.example", "retain")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                stable_hash01(f"host-{i}.example", "retain")
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 64 * 1024
 
     def test_bucket_stability(self):
         assert (stable_bucket("x.com", 16, "s")

@@ -154,6 +154,58 @@ class TestGridEquivalence:
             assert left[1] == right[0]
 
 
+@st.composite
+def history_and_cut(draw):
+    changes = draw(st.lists(
+        st.tuples(st.integers(0, 1000), st.sampled_from("abcd")),
+        min_size=1, max_size=12))
+    changes.sort(key=lambda c: c[0])
+    return changes, draw(st.integers(0, len(changes)))
+
+
+def _built_by_set(changes):
+    tl = Timeline()
+    for ts, value in changes:
+        tl.set(ts, value)
+    return tl
+
+
+def _assert_same_answers(got, want):
+    assert list(got.changes()) == list(want.changes())
+    assert len(got) == len(want)
+    probes = sorted({-1, 0, 1001} | {ts + d for ts, _ in want.changes()
+                                     for d in (-1, 0, 1)})
+    for ts in probes:
+        assert got.at(ts) == want.at(ts)
+        assert got.at_with_next(ts) == want.at_with_next(ts)
+    for start, end in ((0, 1001), (probes[0], probes[-1]), (250, 750)):
+        assert list(got.segments(start, end)) == list(want.segments(start, end))
+
+
+class TestTupleBackedConstruction:
+    """single() and from_changes() store tuples that the first set()
+    turns into lists; the answers must not depend on which backing a
+    timeline started with."""
+
+    @given(history_and_cut())
+    @settings(max_examples=200)
+    def test_from_changes_then_set_matches_set_alone(self, data):
+        changes, cut = data
+        tl = Timeline.from_changes(_built_by_set(changes[:cut]).changes())
+        for ts, value in changes[cut:]:
+            tl.set(ts, value)
+        _assert_same_answers(tl, _built_by_set(changes))
+
+    @given(history_and_cut())
+    @settings(max_examples=200)
+    def test_single_then_set_matches_set_alone(self, data):
+        changes, _ = data
+        tl = Timeline.single(*changes[0])
+        for ts, value in changes[1:]:
+            tl.set(ts, value)
+        _assert_same_answers(tl, _built_by_set(changes))
+
+
 class TestBooleanTimeline:
     def _make(self):
         tl = BooleanTimeline()
