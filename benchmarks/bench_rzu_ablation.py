@@ -13,7 +13,7 @@ from benchmarks.conftest import check_report
 from repro.analysis.visibility import DEFAULT_CADENCES, rzu_report, rzu_sweep
 from repro.workload.scenario import ScenarioConfig
 
-#: A smaller world: the sweep rebuilds it once per cadence point.
+#: A smaller world, built once and re-read at every cadence point.
 SWEEP_CONFIG = ScenarioConfig(
     seed=13, scale=1 / 2000, include_cctld=False,
     tlds=["com", "net", "xyz", "online", "site", "top"])

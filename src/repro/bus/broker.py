@@ -16,17 +16,17 @@ from heapq import merge as _heap_merge
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BusError, OffsetError, UnknownTopicError
+from repro.heap import FrozenSlots
 from repro.simtime.rng import stable_bucket
 
 
 @dataclass(frozen=True)
-class Message:
+class Message(FrozenSlots):
     """One record on a topic partition.
 
-    Slotted because a run keeps every message it produced (about 136 k
-    at 1/200 with ccTLDs), so a per-instance ``__dict__`` would be most
-    of the bus's memory.  The slots are spelled out rather than left to
-    ``dataclass(slots=True)``, which Python 3.9 lacks.
+    Built on demand by :class:`Partition` for the reader or producer
+    that asks for one; slotted so that building one allocates no
+    per-instance ``__dict__`` (see :class:`~repro.heap.FrozenSlots`).
     """
 
     __slots__ = ("topic", "partition", "offset", "timestamp", "key", "value")
@@ -38,32 +38,40 @@ class Message:
     key: str
     value: Any
 
-    def __reduce__(self):
-        # The frozen __setattr__ would refuse the default slot-state
-        # restore, so copy and pickle rebuild through __init__.
-        return (Message, tuple(getattr(self, f) for f in self.__slots__))
-
 
 class Partition:
-    """An append-only message log."""
+    """An append-only message log, held as three parallel columns.
+
+    A run keeps every record it produced (about 136 k at 1/200 with
+    ccTLDs) but reads few of them back, so the log stores each record's
+    key, value and timestamp in lists indexed by offset and builds a
+    :class:`Message` only for the reader that asks for one.
+    """
 
     def __init__(self, topic: str, index: int) -> None:
         self.topic = topic
         self.index = index
-        self._log: List[Message] = []
+        self._keys: List[str] = []
+        self._values: List[Any] = []
+        self._timestamps: List[int] = []
         #: Producer clocks may run out of order; track whether this log
         #: happens to be time-ordered so readers can skip re-sorting.
         self._time_ordered = True
 
-    def append(self, key: str, value: Any, timestamp: int) -> Message:
-        log = self._log
-        if self._time_ordered and log and timestamp < log[-1].timestamp:
+    def push(self, key: str, value: Any, timestamp: int) -> int:
+        """Append one record without building a :class:`Message`;
+        returns its offset."""
+        timestamps = self._timestamps
+        if self._time_ordered and timestamps and timestamp < timestamps[-1]:
             self._time_ordered = False
-        message = Message(topic=self.topic, partition=self.index,
-                          offset=len(log), timestamp=timestamp,
-                          key=key, value=value)
-        log.append(message)
-        return message
+        timestamps.append(timestamp)
+        self._keys.append(key)
+        self._values.append(value)
+        return len(timestamps) - 1
+
+    def append(self, key: str, value: Any, timestamp: int) -> Message:
+        return Message(self.topic, self.index,
+                       self.push(key, value, timestamp), timestamp, key, value)
 
     @property
     def time_ordered(self) -> bool:
@@ -73,14 +81,20 @@ class Partition:
     def read(self, offset: int, max_messages: int) -> List[Message]:
         if offset < 0:
             raise OffsetError(f"negative offset {offset}")
-        return self._log[offset:offset + max_messages]
+        stop = min(offset + max_messages, len(self._timestamps))
+        topic = self.topic
+        index = self.index
+        return [Message(topic, index, at, timestamp, key, value)
+                for at, timestamp, key, value in zip(
+                    range(offset, stop), self._timestamps[offset:stop],
+                    self._keys[offset:stop], self._values[offset:stop])]
 
     @property
     def end_offset(self) -> int:
-        return len(self._log)
+        return len(self._timestamps)
 
     def __len__(self) -> int:
-        return len(self._log)
+        return len(self._timestamps)
 
 
 class Topic:
@@ -102,14 +116,15 @@ class Topic:
         """Batched produce: route and append ``(key, value, timestamp)``
         triples in one pass, preserving the iteration order per
         partition (exactly what repeated :meth:`append` calls yield,
-        without a routing-dict lookup and method dispatch per message).
+        without a routing-dict lookup per record or a :class:`Message`
+        nobody reads).
         """
         partitions = self.partitions
         n = len(partitions)
         name = self.name
         count = 0
         for key, value, timestamp in items:
-            partitions[stable_bucket(key, n, name)].append(key, value, timestamp)
+            partitions[stable_bucket(key, n, name)].push(key, value, timestamp)
             count += 1
         return count
 

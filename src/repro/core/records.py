@@ -5,13 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.heap import FrozenSlots
 from repro.registry.rdap import RDAPResult
 
 
 @dataclass(frozen=True)
-class Candidate:
+class Candidate(FrozenSlots):
     """Step-1 output: a registrable domain seen in CT but absent from
     the latest published zone snapshot."""
+
+    __slots__ = ("domain", "tld", "ct_seen_at", "cert_serial", "issuer",
+                 "log_id", "reused_validation")
 
     domain: str
     tld: str
@@ -25,13 +29,17 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class MonitorReport:
+class MonitorReport(FrozenSlots):
     """Step-3 output: 48 hours of 10-minute probes, summarised.
 
     ``last_ns_ok`` is the last probe instant at which the TLD authority
     still served the delegation — the liveness signal used to estimate
     transient lifetimes (Fig. 2).
     """
+
+    __slots__ = ("domain", "monitor_start", "monitor_end", "probe_interval",
+                 "probes", "ever_resolved", "last_ns_ok", "ns_sets",
+                 "first_a", "first_aaaa", "ns_changed")
 
     domain: str
     monitor_start: int
@@ -58,8 +66,11 @@ class MonitorReport:
 
 
 @dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(FrozenSlots):
     """Step-4 output: RDAP cross-validation of one candidate."""
+
+    __slots__ = ("domain", "rdap_ok", "detection_delay", "misclassified",
+                 "consistent_24h")
 
     domain: str
     rdap_ok: bool

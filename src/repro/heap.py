@@ -1,6 +1,8 @@
-"""The collect → pause → freeze GC discipline shared by world
-materialisation (:func:`~repro.workload.scenario.build_world`) and the
-five-step pipeline (:meth:`~repro.core.pipeline.DarkDNSPipeline.run`).
+"""Heap discipline shared across layers: the collect → pause → freeze
+GC discipline of world materialisation
+(:func:`~repro.workload.scenario.build_world`) and the five-step
+pipeline (:meth:`~repro.core.pipeline.DarkDNSPipeline.run`), and the
+base for frozen records slotted to keep no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -57,3 +59,20 @@ def gc_paused():
             if completed:
                 gc.freeze()
             gc.enable()
+
+
+class FrozenSlots:
+    """Base for a frozen dataclass that spells out its ``__slots__``.
+
+    ``dataclass(slots=True)`` needs Python 3.10, so a record that a run
+    keeps one of per candidate or per message lists its fields in
+    ``__slots__`` itself, in field order.  The frozen ``__setattr__``
+    would refuse the default slot-state restore, so copy and pickle
+    rebuild through ``__init__`` instead.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (type(self),
+                tuple(getattr(self, name) for name in self.__slots__))

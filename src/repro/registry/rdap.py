@@ -29,23 +29,37 @@ from repro.errors import (
     RDAPRateLimited,
     RDAPServerError,
 )
+from repro.heap import FrozenSlots
 from repro.registry.registrar import registrar_by_name
 from repro.registry.registry import Registry, RegistryGroup
 from repro.simtime.clock import HOUR, isoformat
 from repro.simtime.rng import stable_hash01
 
 
+#: RDAP status lists, shared by every record that carries one.
+STATUSES_ACTIVE = ("active",)
+STATUSES_HELD = ("serverHold",)
+
+
 @dataclass(frozen=True)
-class RDAPRecord:
+class RDAPRecord(FrozenSlots):
     """The fields of an RDAP domain object the pipeline consumes."""
 
+    __slots__ = ("domain", "created_at", "registrar", "registrar_iana_id",
+                 "statuses", "fetched_at")
+
     domain: str
-    handle: str
     created_at: int
     registrar: str
     registrar_iana_id: int
     statuses: Tuple[str, ...]
     fetched_at: int
+
+    @property
+    def handle(self) -> str:
+        """The registry's object handle, ``<DOMAIN>-<TLD>``."""
+        domain = self.domain.upper()
+        return f"{domain}-{domain.rpartition('.')[2]}"
 
     @property
     def created_iso(self) -> str:
@@ -142,7 +156,7 @@ class RDAPServer:
             self.failures += 1
             return (None, RDAPFailure.RATE_LIMITED,
                     f"{client_ip} over limit for .{self.registry.tld}")
-        # Deterministic per-(domain, day) operational flakiness.
+        # Deterministic per-(domain, hour) operational flakiness.
         if stable_hash01(f"{norm}|{ts // HOUR}", "rdap-flaky") < self.flaky_prob:
             self.failures += 1
             return (None, RDAPFailure.SERVER_ERROR,
@@ -164,16 +178,12 @@ class RDAPServer:
             return (None, RDAPFailure.NOT_FOUND,
                     f"{norm} was already deleted")
         registrar = registrar_by_name(lifecycle.registrar)
-        statuses = ["active"]
-        if lifecycle.held:
-            statuses = ["serverHold"]
         record = RDAPRecord(
             domain=norm,
-            handle=f"{norm.upper()}-{self.registry.tld.upper()}",
             created_at=lifecycle.created_at,
             registrar=registrar.name,
             registrar_iana_id=registrar.iana_id,
-            statuses=tuple(statuses),
+            statuses=STATUSES_HELD if lifecycle.held else STATUSES_ACTIVE,
             fetched_at=ts,
         )
         return record, None, ""

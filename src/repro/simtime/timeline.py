@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import (Generic, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, TypeVar)
+                    Tuple, TypeVar, Union)
 
 from repro.errors import SimulationError
 
@@ -31,17 +31,24 @@ class Timeline(Generic[V]):
     write wins), mirroring how a registry's provisioning system applies
     same-second updates.
 
-    The change points are held in tuples until the first :meth:`set`,
-    which switches them to lists: most timelines are built whole and
-    never change (a fresh registration's three histories hold one point
-    each), and a tuple is the smallest container for them.
+    The change points take one of three shapes, smallest first:
+
+    * none: ``_times`` and ``_values`` are empty tuples;
+    * one: ``_times`` is the change time (an ``int``) and ``_values``
+      the value itself, with no container at all;
+    * two or more: parallel lists.
+
+    Most timelines hold one point for life (a fresh registration's
+    three histories), so they stay scalars; the :meth:`set` that adds a
+    second point switches to lists.  Queries branch on the shape
+    instead of building a container.
     """
 
     __slots__ = ("_times", "_values", "_initial")
 
     def __init__(self, initial: Optional[V] = None) -> None:
-        self._times: Sequence[int] = ()
-        self._values: Sequence[V] = ()
+        self._times: Union[int, Sequence[int]] = ()
+        self._values: Union[V, Sequence[V]] = ()
         self._initial: Optional[V] = initial
 
     # -- construction ---------------------------------------------------------
@@ -50,25 +57,31 @@ class Timeline(Generic[V]):
         """Record that the value becomes ``value`` at time ``ts``."""
         ts = int(ts)
         times = self._times
-        if times and ts < times[-1]:
-            raise SimulationError(
-                f"timeline updates must be time-ordered: {ts} < {times[-1]}")
-        if times and ts == times[-1]:
-            self._thaw()
-            self._values[-1] = value
+        if type(times) is int:
+            if ts < times:
+                raise SimulationError(
+                    f"timeline updates must be time-ordered: {ts} < {times}")
+            if ts == times:
+                self._values = value
+            elif value != self._values:
+                self._times = [times, ts]
+                self._values = [self._values, value]
+            return
+        if times:
+            last = times[-1]
+            if ts < last:
+                raise SimulationError(
+                    f"timeline updates must be time-ordered: {ts} < {last}")
+            if ts == last:
+                self._values[-1] = value
+            elif value != self._values[-1]:
+                times.append(ts)
+                self._values.append(value)
             return
         # Skip no-op changes so segment counts stay minimal.
-        if value == (self._values[-1] if self._values else self._initial):
-            return
-        self._thaw()
-        self._times.append(ts)
-        self._values.append(value)
-
-    def _thaw(self) -> None:
-        """Switch the change points from tuples to lists, once."""
-        if type(self._times) is tuple:
-            self._times = list(self._times)
-            self._values = list(self._values)
+        if value != self._initial:
+            self._times = ts
+            self._values = value
 
     @classmethod
     def constant(cls, value: V) -> "Timeline[V]":
@@ -87,7 +100,13 @@ class Timeline(Generic[V]):
         ordering or no-op checks are re-run.
         """
         timeline = object.__new__(cls)
-        timeline._times, timeline._values = tuple(zip(*changes)) or ((), ())
+        columns = tuple(zip(*changes))
+        if not columns:
+            timeline._times = timeline._values = ()
+        elif len(columns[0]) == 1:
+            timeline._times, timeline._values = int(columns[0][0]), columns[1][0]
+        else:
+            timeline._times, timeline._values = map(list, columns)
         timeline._initial = initial
         return timeline
 
@@ -100,8 +119,8 @@ class Timeline(Generic[V]):
         fresh registration creates, three timelines at a time.
         """
         timeline = object.__new__(cls)
-        timeline._times = (int(ts),)
-        timeline._values = (value,)
+        timeline._times = int(ts)
+        timeline._values = value
         timeline._initial = None
         return timeline
 
@@ -110,7 +129,10 @@ class Timeline(Generic[V]):
     def at(self, ts: int) -> Optional[V]:
         """Value in effect at time ``ts`` (None before the first change
         if no initial value was given)."""
-        idx = bisect_right(self._times, ts)
+        times = self._times
+        if type(times) is int:
+            return self._values if ts >= times else self._initial
+        idx = bisect_right(times, ts)
         if idx == 0:
             return self._initial
         return self._values[idx - 1]
@@ -122,23 +144,35 @@ class Timeline(Generic[V]):
         seam that lets answer caches know exactly how long an answer
         stays valid instead of re-asking every probe.
         """
-        idx = bisect_right(self._times, ts)
+        times = self._times
+        if type(times) is int:
+            if ts >= times:
+                return self._values, None
+            return self._initial, times
+        idx = bisect_right(times, ts)
         value = self._initial if idx == 0 else self._values[idx - 1]
-        nxt = self._times[idx] if idx < len(self._times) else None
+        nxt = times[idx] if idx < len(times) else None
         return value, nxt
 
     def changes(self) -> Iterator[Tuple[int, V]]:
         """Iterate ``(ts, value)`` change points in time order."""
+        if type(self._times) is int:
+            return iter(((self._times, self._values),))
         return iter(zip(self._times, self._values))
 
     def change_times(self) -> List[int]:
+        if type(self._times) is int:
+            return [self._times]
         return list(self._times)
 
     def __len__(self) -> int:
+        if type(self._times) is int:
+            return 1
         return len(self._times)
 
     def __bool__(self) -> bool:
-        return bool(self._times) or self._initial is not None
+        return (type(self._times) is int or bool(self._times)
+                or self._initial is not None)
 
     def segments(self, start: int, end: int) -> Iterator[Tuple[int, int, Optional[V]]]:
         """Yield ``(seg_start, seg_end, value)`` covering ``[start, end)``.
@@ -148,15 +182,24 @@ class Timeline(Generic[V]):
         """
         if end <= start:
             return
-        idx = bisect_right(self._times, start)
+        times = self._times
+        if type(times) is int:
+            if start < times:
+                yield start, min(times, end), self._initial
+                if times < end:
+                    yield times, end, self._values
+            else:
+                yield start, end, self._values
+            return
+        idx = bisect_right(times, start)
         cursor = start
         current = self._initial if idx == 0 else self._values[idx - 1]
         while cursor < end:
-            nxt = self._times[idx] if idx < len(self._times) else end
+            nxt = times[idx] if idx < len(times) else end
             seg_end = min(nxt, end)
             if seg_end > cursor:
                 yield cursor, seg_end, current
-            if idx < len(self._times):
+            if idx < len(times):
                 current = self._values[idx]
                 idx += 1
             cursor = seg_end
@@ -167,8 +210,11 @@ class Timeline(Generic[V]):
         Used for the paper's §4.1 question: did a domain change its NS
         infrastructure within its first 24 hours?
         """
-        idx = bisect_right(self._times, start)
-        return idx < len(self._times) and self._times[idx] <= end
+        times = self._times
+        if type(times) is int:
+            return start < times <= end
+        idx = bisect_right(times, start)
+        return idx < len(times) and times[idx] <= end
 
     def last_time_with(self, predicate, start: int, end: int,
                        step: int) -> Optional[int]:

@@ -1,5 +1,7 @@
 """Tests for ECDFs, tables, and the per-experiment analyses."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,15 @@ from repro.analysis.tables import (
     TextTable,
     share_table,
 )
-from repro.analysis.visibility import CCTLDComparison, NODComparison
+from repro.analysis.visibility import (
+    CadencePoint,
+    CCTLDComparison,
+    NODComparison,
+    rzu_sweep,
+)
 from repro.errors import ConfigError
 from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.workload.scenario import ScenarioConfig, build_world
 
 
 class TestECDF:
@@ -222,3 +230,29 @@ class TestAnalyses:
         total = sum(r.holding()[1] for r in reports)
         # Small test scale is noisy; the bench scale asserts tighter.
         assert ok / total > 0.7
+
+
+class TestRZUSweep:
+    def test_one_world_matches_a_rebuild_per_cadence(self):
+        # The sweep re-reads one world through a snapshot archive per
+        # cadence; each point must equal the point a world rebuilt at
+        # that cadence gives.
+        config = ScenarioConfig(seed=13, scale=1 / 2000, include_cctld=False,
+                                tlds=["com", "xyz", "top"])
+        cadences = (DAY, HOUR)
+        points = rzu_sweep(config, cadences)
+        for point, cadence in zip(points, cadences):
+            world = build_world(replace(config, snapshot_interval=cadence))
+            latencies = [
+                first - lifecycle.created_at
+                for lifecycle in world.ground_truth.registrations()
+                for first in [world.archive.first_appearance(lifecycle)]
+                if first is not None]
+            ecdf = ECDF(latencies)
+            assert point == CadencePoint(
+                cadence=cadence,
+                true_transients=len(world.ground_truth.true_transients()),
+                fast_takedowns=world.stats.get("fast_takedowns", 0),
+                median_capture_latency=(None if ecdf.is_empty
+                                        else ecdf.median))
+        assert points[0].true_transients > points[1].true_transients

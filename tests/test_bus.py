@@ -226,3 +226,56 @@ class TestBrokerFastPath:
             broker.produce("t", "k", i, timestamp=i)
         assert [m.value for m in broker.topic("t").all_messages()] == \
                [0, 1, 2, 3, 4]
+
+
+class TestColumnarPartitions:
+    """Partitions keep keys, values and timestamps as columns and build
+    a Message on read; what a reader gets must equal what produce()
+    returned."""
+
+    def _produced(self):
+        broker = Broker(default_partitions=3)
+        stamps = [100, 105, 90, 110, 110, 120, 95, 130]
+        produced = [broker.produce("t", f"k{i % 5}", {"i": i}, ts)
+                    for i, ts in enumerate(stamps)]
+        return broker, produced
+
+    @staticmethod
+    def _order(messages):
+        return sorted(messages,
+                      key=lambda m: (m.timestamp, m.partition, m.offset))
+
+    def test_read_returns_the_produced_messages(self):
+        broker, produced = self._produced()
+        for partition in broker.topic("t").partitions:
+            mine = [m for m in produced if m.partition == partition.index]
+            assert [m.offset for m in mine] == list(range(len(mine)))
+            assert partition.read(0, 100) == mine
+            assert partition.read(1, 1) == mine[1:2]
+            assert partition.read(len(mine), 5) == []
+            assert partition.end_offset == len(partition) == len(mine)
+
+    def test_poll_and_all_messages_return_the_produced_messages(self):
+        broker, produced = self._produced()
+        assert broker.topic("t").all_messages() == self._order(produced)
+        assert broker.poll("g", "t", max_messages=100) == \
+            self._order(produced)
+
+    def test_time_ordered_tracks_each_column(self):
+        broker, produced = self._produced()
+        partitions = broker.topic("t").partitions
+        assert {p.time_ordered for p in partitions} == {True, False}
+        for partition in partitions:
+            stamps = [m.timestamp for m in produced
+                      if m.partition == partition.index]
+            assert partition.time_ordered == (stamps == sorted(stamps))
+
+    def test_produce_many_reads_back_like_produce(self):
+        items = [(f"key{i % 7}", {"i": i}, 100 + (i * 37) % 11)
+                 for i in range(30)]
+        a, b = Broker(), Broker()
+        produced = [a.produce("t", *item) for item in items]
+        assert b.produce_many("t", items) == len(items)
+        assert b.topic("t").all_messages() == self._order(produced)
+        assert [p.time_ordered for p in b.topic("t").partitions] == \
+            [p.time_ordered for p in a.topic("t").partitions]

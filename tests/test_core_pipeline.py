@@ -1,6 +1,8 @@
 """Tests for the pipeline steps and the end-to-end run."""
 
+import copy
 import gc
+import pickle
 
 import pytest
 
@@ -21,6 +23,29 @@ def make_candidate(domain="x.com", seen=10_000):
     return Candidate(domain=domain, tld=domain.rsplit(".", 1)[1],
                      ct_seen_at=seen, cert_serial=1, issuer="CA",
                      log_id="log", reused_validation=False)
+
+
+class TestSlottedRecords:
+    """The per-candidate records are kept for the whole run, so none
+    carries a ``__dict__``; they must still pickle, copy and refuse
+    mutation like the frozen dataclasses they are."""
+
+    def test_records_round_trip(self, tiny_result):
+        domain = next(d for d in tiny_result.monitors
+                      if tiny_result.rdap[d].ok)
+        records = (tiny_result.candidates[domain],
+                   tiny_result.monitors[domain],
+                   tiny_result.verdicts[domain],
+                   tiny_result.rdap[domain].record)
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            with pytest.raises(AttributeError):
+                record.domain = "other.com"
+        tld = tiny_result.candidates[domain].tld
+        assert records[-1].handle == f"{domain.upper()}-{tld.upper()}"
 
 
 class TestCTDetector:
@@ -84,7 +109,7 @@ class TestValidator:
         record_result = RDAPResult(
             "x.com", 10_100,
             record=__import__("repro.registry.rdap", fromlist=["RDAPRecord"])
-            .RDAPRecord("x.com", "H", 9_000, "GoDaddy", 146, ("active",),
+            .RDAPRecord("x.com", 9_000, "GoDaddy", 146, ("active",),
                         10_100))
         verdict = validator.verdict(candidate, record_result)
         assert verdict.rdap_ok
@@ -97,7 +122,7 @@ class TestValidator:
         validator = Validator(ValidatorConfig(newness_threshold=4 * DAY))
         candidate = make_candidate(seen=10 * DAY)
         result = RDAPResult("x.com", 10 * DAY, record=RDAPRecord(
-            "x.com", "H", 1 * DAY, "GoDaddy", 146, ("active",), 10 * DAY))
+            "x.com", 1 * DAY, "GoDaddy", 146, ("active",), 10 * DAY))
         verdict = validator.verdict(candidate, result)
         assert verdict.misclassified
         assert not verdict.consistent_24h

@@ -61,6 +61,11 @@ class TestRDAPServer:
         record = server.query("held.com", 20_000)
         assert record.statuses == ("serverHold",)
 
+    def test_handle_is_domain_dash_tld(self, server):
+        # Derived on read from the domain, in the registry's text form.
+        assert server.query("alive.com", 20_000).handle == "ALIVE.COM-COM"
+        assert server.query("held.com", 20_000).handle == "HELD.COM-COM"
+
     def test_flaky_failures_deterministic(self, registry):
         flaky = RDAPServer(registry, flaky_prob=1.0)
         with pytest.raises(RDAPServerError):

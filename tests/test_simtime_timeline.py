@@ -154,56 +154,132 @@ class TestGridEquivalence:
             assert left[1] == right[0]
 
 
+#: Falsy values alongside truthy ones: a lone change point is stored
+#: as the bare value, so no query may test it for truth.
+_VALUES = st.sampled_from(["", (), 0, "a", "b"])
+
+
 @st.composite
 def history_and_cut(draw):
-    changes = draw(st.lists(
-        st.tuples(st.integers(0, 1000), st.sampled_from("abcd")),
-        min_size=1, max_size=12))
+    # A narrow time range makes ts == 0 and same-timestamp overwrites
+    # common.
+    changes = draw(st.lists(st.tuples(st.integers(0, 40), _VALUES),
+                            min_size=1, max_size=12))
     changes.sort(key=lambda c: c[0])
-    return changes, draw(st.integers(0, len(changes)))
+    initial = draw(st.one_of(st.none(), _VALUES))
+    return changes, draw(st.integers(0, len(changes))), initial
 
 
-def _built_by_set(changes):
-    tl = Timeline()
-    for ts, value in changes:
-        tl.set(ts, value)
-    return tl
+class _Model:
+    """Reference timeline: a plain list of change points answered by
+    brute force, sharing no code with any :class:`Timeline` shape."""
+
+    def __init__(self, changes, initial=None):
+        self.initial = initial
+        self.points = []
+        for ts, value in changes:
+            if self.points and ts == self.points[-1][0]:
+                self.points[-1] = (ts, value)
+            elif value != (self.points[-1][1] if self.points else initial):
+                self.points.append((ts, value))
+
+    def changes(self):
+        return iter(self.points)
+
+    def change_times(self):
+        return [ts for ts, _ in self.points]
+
+    def __len__(self):
+        return len(self.points)
+
+    def __bool__(self):
+        return bool(self.points) or self.initial is not None
+
+    def at(self, ts):
+        value = self.initial
+        for at, v in self.points:
+            if at <= ts:
+                value = v
+        return value
+
+    def at_with_next(self, ts):
+        return self.at(ts), next((at for at, _ in self.points if at > ts),
+                                 None)
+
+    def segments(self, start, end):
+        cuts = [start] + [at for at, _ in self.points if start < at < end]
+        return iter([(a, b, self.at(a))
+                      for a, b in zip(cuts, cuts[1:] + [end]) if a < b])
+
+    def value_changed_within(self, start, end):
+        return any(start < at <= end for at, _ in self.points)
 
 
 def _assert_same_answers(got, want):
     assert list(got.changes()) == list(want.changes())
+    assert got.change_times() == want.change_times()
     assert len(got) == len(want)
-    probes = sorted({-1, 0, 1001} | {ts + d for ts, _ in want.changes()
-                                     for d in (-1, 0, 1)})
+    assert bool(got) == bool(want)
+    probes = sorted({-1, 0, 41} | {ts + d for ts, _ in want.changes()
+                                   for d in (-1, 0, 1)})
     for ts in probes:
         assert got.at(ts) == want.at(ts)
         assert got.at_with_next(ts) == want.at_with_next(ts)
-    for start, end in ((0, 1001), (probes[0], probes[-1]), (250, 750)):
-        assert list(got.segments(start, end)) == list(want.segments(start, end))
+    for start in probes:
+        for end in probes:
+            assert (list(got.segments(start, end))
+                    == list(want.segments(start, end)))
+            assert (got.value_changed_within(start, end)
+                    == want.value_changed_within(start, end))
 
 
-class TestTupleBackedConstruction:
-    """single() and from_changes() store tuples that the first set()
-    turns into lists; the answers must not depend on which backing a
-    timeline started with."""
+class TestLonePointShape:
+    """A lone change point is held as two scalars that the set() adding
+    a second point turns into lists; whichever constructor a timeline
+    started from, its answers must equal the brute-force model's."""
 
     @given(history_and_cut())
     @settings(max_examples=200)
     def test_from_changes_then_set_matches_set_alone(self, data):
-        changes, cut = data
-        tl = Timeline.from_changes(_built_by_set(changes[:cut]).changes())
+        changes, cut, initial = data
+        tl = Timeline.from_changes(
+            _Model(changes[:cut], initial).changes(), initial)
+        _assert_same_answers(tl, _Model(changes[:cut], initial))
         for ts, value in changes[cut:]:
             tl.set(ts, value)
-        _assert_same_answers(tl, _built_by_set(changes))
+        _assert_same_answers(tl, _Model(changes, initial))
 
     @given(history_and_cut())
     @settings(max_examples=200)
     def test_single_then_set_matches_set_alone(self, data):
-        changes, _ = data
+        changes, _, _ = data
         tl = Timeline.single(*changes[0])
+        _assert_same_answers(tl, _Model(changes[:1]))
         for ts, value in changes[1:]:
             tl.set(ts, value)
-        _assert_same_answers(tl, _built_by_set(changes))
+        _assert_same_answers(tl, _Model(changes))
+
+    @given(history_and_cut())
+    @settings(max_examples=200)
+    def test_set_alone_matches_the_model(self, data):
+        changes, _, initial = data
+        tl = Timeline(initial)
+        for ts, value in changes:
+            tl.set(ts, value)
+        _assert_same_answers(tl, _Model(changes, initial))
+
+    def test_lone_falsy_change_at_zero_is_not_empty(self):
+        for tl in (Timeline.single(0, ""), Timeline.from_changes([(0, 0)])):
+            assert tl and len(tl) == 1
+            assert tl.at(-1) is None and tl.at(0) in ("", 0)
+            assert tl.at_with_next(-1) == (None, 0)
+        assert not Timeline.from_changes([])
+        assert len(Timeline.from_changes([])) == 0
+
+    def test_out_of_order_set_rejected_on_a_lone_point(self):
+        tl = Timeline.single(10, "a")
+        with pytest.raises(SimulationError):
+            tl.set(9, "b")
 
 
 class TestBooleanTimeline:
