@@ -49,7 +49,6 @@ from repro.obs.observers import (
     daily_counts,
     default_pipeline_suite,
     observe_pipeline_result,
-    observe_scan_reports,
     observe_world,
 )
 from repro.obs.profiler import SamplingProfiler, profiling
@@ -63,7 +62,7 @@ __all__ = [
     "to_prometheus", "to_json", "parse_prometheus", "lint_prometheus",
     "Anomaly", "MassEvent", "RollingBaseline", "SeriesObserver",
     "ObserverSuite", "daily_counts", "default_pipeline_suite",
-    "observe_pipeline_result", "observe_scan_reports", "observe_world",
+    "observe_pipeline_result", "observe_world",
     "ScenarioExpectation", "SCENARIO_EXPECTATIONS", "check_expectations",
     "SamplingProfiler", "profiling",
     "LogRouter", "configure", "get_logger",

@@ -34,14 +34,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Counter
 
 __all__ = [
     "Anomaly", "MassEvent", "RollingBaseline", "SeriesObserver",
     "ObserverSuite", "daily_counts", "observe_pipeline_result",
-    "observe_scan_reports", "observe_world", "default_pipeline_suite",
+    "observe_world", "default_pipeline_suite",
     "ScenarioExpectation", "SCENARIO_EXPECTATIONS", "check_expectations",
 ]
 
@@ -359,17 +359,6 @@ def observe_world(suite: ObserverSuite, world) -> List[Anomaly]:
                     continue
                 changes.append(ts)
     return suite.ingest_series("ns_changes", daily_counts(changes))
-
-
-def observe_scan_reports(suite: ObserverSuite, reports: Mapping) -> List[Anomaly]:
-    """Feed a scan run's reports: scanned + never-resolved per start day."""
-    found = suite.ingest_series(
-        "scanned", daily_counts(r.monitor_start for r in reports.values()))
-    found.extend(suite.ingest_series(
-        "scan_dark_hosts",
-        daily_counts(r.monitor_start for r in reports.values()
-                     if not r.ever_resolved)))
-    return found
 
 
 def default_pipeline_suite(**overrides) -> ObserverSuite:

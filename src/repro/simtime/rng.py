@@ -12,14 +12,6 @@ stream* derived from one master seed.  Two properties matter:
 Streams are ordinary :class:`random.Random` instances seeded from
 BLAKE2b of the (master seed, path) pair, plus a handful of distribution
 helpers the workload models share.
-
-A third property, **fast-forward**, makes the streams usable from
-worker processes: :meth:`RngStream.fast_forward` advances a stream's
-state past a known number of draws, so a worker that owns a suffix of
-a shared stream's draw sequence can skip the prefix exactly and produce
-bit-identical values to a serial run.  ``docs/determinism.md`` explains
-the contract; the parallel world build in
-:mod:`repro.workload.scenario` is its consumer.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ import hashlib
 import math
 import random
 from bisect import bisect as _bisect
-from itertools import accumulate as _accumulate, repeat as _repeat
+from itertools import accumulate as _accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -139,90 +131,6 @@ class RngStream(random.Random):
                 return i
         return n - 1
 
-    # -- stream fast-forward -------------------------------------------------
-
-    def fast_forward(self, count: int, kind: str = "random",
-                     population: int = 2,
-                     params: Tuple[float, float] = (0.0, 1.0)) -> "RngStream":
-        """Advance this stream's state past ``count`` draws of ``kind``.
-
-        The parallel world build's ``jumpahead``: a worker that owns a
-        *suffix* of a shared stream's draw sequence skips the prefix the
-        serial build would have consumed, so its first live draw lands
-        on exactly the state the serial build would have reached.  The
-        Mersenne Twister has no O(1) jump in the stdlib, so skipping is
-        done by *discarding* draws — exact by construction for every
-        kind, and cheap (tens of ns per draw) because the draw counts
-        the planner needs are small and precomputable.
-
-        ``kind`` selects what one discarded draw consumes:
-
-        * ``"random"`` / ``"uniform"`` — one ``random()`` call (two MT
-          words).  This is the capick CA-pick stream's unit: a
-          :class:`WeightedSampler` pick costs exactly one.
-        * ``"choice"`` — one ``choice(seq)`` over a ``population``-sized
-          sequence (``getrandbits`` rejection sampling; word count
-          depends on the population size *and* the drawn values, which
-          is why the population must be supplied).
-        * ``"lognormvariate"`` — one ``lognormvariate(*params)`` call
-          (normal-variate rejection loop; variable word count,
-          independent of the parameters).
-
-        Returns ``self`` so call sites can chain
-        ``bank.stream("capick").fast_forward(offset)``.
-        """
-        if count < 0:
-            raise ValueError(f"cannot fast-forward by {count} draws")
-        if kind in ("random", "uniform"):
-            draw = self.random
-            for _ in _repeat(None, count):
-                draw()
-        elif kind == "choice":
-            if population <= 0:
-                raise ValueError("choice fast-forward needs a population >= 1")
-            randbelow = self._randbelow
-            for _ in _repeat(None, count):
-                randbelow(population)
-        elif kind == "lognormvariate":
-            mu, sigma = params
-            draw_ln = self.lognormvariate
-            for _ in _repeat(None, count):
-                draw_ln(mu, sigma)
-        else:
-            raise ValueError(f"unknown draw kind: {kind!r}")
-        return self
-
-
-class CountingStream(RngStream):
-    """An :class:`RngStream` that counts its primitive draws.
-
-    Draw-identical to a plain stream with the same (master, path) —
-    only the bookkeeping differs — so tests can substitute one into a
-    :class:`StreamBank` and audit exactly how many draws a component
-    consumed.  This is the verification side of the fast-forward
-    contract: the scenario builder's *counting pass* predicts per-TLD
-    draw counts on the shared capick stream, and a ``CountingStream``
-    confirms the prediction against reality.
-
-    ``random_draws`` counts ``random()`` calls (the unit
-    :meth:`RngStream.fast_forward` skips by); ``getrandbits_draws``
-    counts ``getrandbits()`` calls (the primitive under ``choice`` /
-    ``randrange``).
-    """
-
-    def __init__(self, master: int, *path: str) -> None:
-        super().__init__(master, *path)
-        self.random_draws = 0
-        self.getrandbits_draws = 0
-
-    def random(self) -> float:
-        self.random_draws += 1
-        return super().random()
-
-    def getrandbits(self, k: int) -> int:
-        self.getrandbits_draws += 1
-        return super().getrandbits(k)
-
 
 class WeightedSampler:
     """Reusable weighted sampler with precomputed cumulative weights.
@@ -268,13 +176,6 @@ class StreamBank:
     The bank memoises streams so that repeated lookups of the same name
     return the *same* stream object (its internal state advances across
     uses, which is what callers expect of "the scenario's RDAP stream").
-
-    A bank is cheap to rebuild from its master seed in another process:
-    spawn a fresh bank, then :meth:`fast_forward` the streams whose
-    draw-sequence prefix belongs to work done elsewhere.  That pair of
-    properties — derivation from stable names plus exact fast-forward —
-    is what makes the per-TLD world build embarrassingly parallel (see
-    ``docs/determinism.md``).
     """
 
     def __init__(self, master: int) -> None:
@@ -288,31 +189,6 @@ class StreamBank:
             found = RngStream(self.master, *key)
             self._streams[key] = found
         return found
-
-    def fresh(self, *path: str) -> RngStream:
-        """A non-memoised stream (for callers that reset per item)."""
-        return RngStream(self.master, *path)
-
-    def fast_forward(self, path: Sequence[str], count: int,
-                     kind: str = "random", **kwargs) -> RngStream:
-        """Advance the memoised stream at ``path`` past ``count`` draws.
-
-        Convenience over ``bank.stream(*path).fast_forward(...)`` —
-        the stream is created (and memoised) if this is its first use,
-        so a worker process can jump a shared stream to its offset
-        before any component touches it.
-        """
-        return self.stream(*path).fast_forward(count, kind, **kwargs)
-
-    def adopt(self, stream: RngStream, *path: str) -> RngStream:
-        """Install ``stream`` as the memoised entry for ``path``.
-
-        Test seam: substituting a :class:`CountingStream` for a named
-        stream audits a component's draw consumption without changing a
-        single drawn value.
-        """
-        self._streams[tuple(path)] = stream
-        return stream
 
 
 #: Hashers pre-fed with ``salt + \x00`` — salts come from a small fixed

@@ -114,11 +114,8 @@ class GhostCertPlan:
     #: coverage, not 100 %.
     in_dzdb: bool = True
     #: CA (by :data:`~repro.ct.ca.CA_PROFILES` index) already pinned by
-    #: the planner.  None: the executor draws one from the shared
-    #: ``capick`` stream.  Scenario plugins MUST pin — their ghosts are
-    #: invisible to the ``capick_draw_counts`` counting pass, so an
-    #: unpinned scenario ghost would desync the multi-core build's
-    #: fast-forward offsets.
+    #: the planner.  None: the build draws one from the shared
+    #: ``capick`` stream, in canonical shard order.
     ca_index: Optional[int] = None
 
 

@@ -417,51 +417,15 @@ _CA_INDICES = ca_index_sampler()
 #: ``(request_at, domain, extra_sans | None, pinned_ca_index | None)``.
 CertEvent = Tuple[int, str, Optional[Tuple[str, ...]], Optional[int]]
 
+#: A ghost certificate or held domain reusing a cached DV token:
+#: ``(pinned_ca_index | None, domain, validated_at, request_at)``.
+Reuse = Tuple[Optional[int], str, int, int]
+
 #: One built shard as it crosses the process boundary: ``(lifecycle
-#: rows, dirty zone ticks, DZDB rows, DV-token seeds, cert events,
+#: rows, dirty zone ticks, DZDB rows, token reuses, cert events,
 #: counters)``.
 ShardArrays = Tuple[List[Tuple], Tuple[int, ...], List[Tuple],
-                    List[Tuple[int, str, int]], List[CertEvent],
-                    Dict[str, int]]
-
-
-def capick_draw_counts(config: ScenarioConfig,
-                       targets: Dict[str, TLDTargets]
-                       ) -> Dict[ShardKey, int]:
-    """Per-``(tld, month)`` draw counts on the shared ``capick`` stream.
-
-    Args:
-        config: the scenario being built (ghost/held toggles gate draws).
-        targets: the (already filtered) per-TLD generation targets.
-
-    Returns:
-        ``{(tld, month): number of capick draws}`` — exactly the draws
-        :func:`_populate_shard` will consume for that shard.
-
-    This is the *counting pass* of the multi-core build: every ghost
-    certificate and every held domain pins its CA with exactly one
-    draw from the one stream that is shared across shards, and both
-    populations are pure functions of the calibrated targets (their
-    stochastic rounding uses :func:`~repro.simtime.rng.stable_hash01`,
-    not the stream).  A worker building shard *i* therefore
-    fast-forwards a fresh capick stream by the summed counts of all
-    shards before it in canonical (sorted ``(tld, month)``) order and
-    lands on the exact state the serial build would have handed it.
-    One :class:`~repro.simtime.rng.WeightedSampler` pick consumes
-    exactly one ``random()`` draw — the unit this pass counts.
-    ``tests/test_workload.py`` audits this accounting per shard
-    against a :class:`~repro.simtime.rng.CountingStream`.
-    """
-    counts: Dict[ShardKey, int] = {}
-    for tld, tld_targets in targets.items():
-        for month in cal.MONTH_KEYS:
-            draws = 0
-            if config.ghost_certs:
-                draws += tld_targets.ghost_count(month)
-            if config.held_domains:
-                draws += tld_targets.held_count(month)
-            counts[(tld, month)] = draws
-    return counts
+                    List[Reuse], List[CertEvent], Dict[str, int]]
 
 
 def shard_estimates(config: ScenarioConfig,
@@ -504,8 +468,7 @@ def lpt_order(estimates: Dict[ShardKey, int]) -> List[ShardKey]:
 
 def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                     month: str, bank: StreamBank, registry: Registry,
-                    dzdb: DZDB,
-                    seed_token: Callable[[int, str, int], None],
+                    dzdb: DZDB, reuses: List[Reuse],
                     cert_events: List[CertEvent],
                     stats: Dict[str, int]) -> None:
     """Generate one ``(tld, month)`` shard onto the substrates.
@@ -515,14 +478,10 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
     domains, and — in the TLD's *first-month* shard only — the
     pre-window baseline zone population.  All randomness comes from
     ``(tld, month)``-scoped streams of ``bank`` (name generation,
-    plan generation, execution, held domains) except the CA picks,
-    which draw from the shared ``("capick",)`` stream; callers running
-    shards out of canonical order must fast-forward that stream first
-    (see :func:`capick_draw_counts`).
-
-    ``seed_token(ca_index, domain, validated_at)`` decouples DV-token
-    placement from live CA objects so the same code runs in worker
-    processes (which only record the index).
+    plan generation, execution, held domains).  Ghost certificates and
+    held domains go to ``reuses`` with their CA still undrawn unless
+    pinned: :func:`_settle_reuses` draws it later, in canonical shard
+    order, so the same code runs in worker processes.
     """
     tld = tld_targets.tld
     month_i = cal.month_index(month)
@@ -570,17 +529,11 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
             cert_events.append((request_at, plan.domain,
                                 plan.cert.extra_sans or None, None))
     for ghost in ghosts:
-        # Scenario-planned ghosts arrive with their CA pinned (drawn
-        # from the scenario stream); only calibrated ghosts draw from
-        # the shared capick stream, keeping capick_draw_counts exact.
-        ca_index = (ghost.ca_index if ghost.ca_index is not None
-                    else _CA_INDICES.pick(bank.stream("capick")))
-        seed_token(ca_index, ghost.domain, ghost.validated_at)
         if ghost.in_dzdb:
             dzdb.add_interval(ghost.domain, ghost.first_seen,
                               ghost.last_seen)
-        cert_events.append((ghost.requested_at, ghost.domain, None,
-                            ca_index))
+        reuses.append((ghost.ca_index, ghost.domain, ghost.validated_at,
+                       ghost.requested_at))
         stats["ghost_certs"] += 1
 
     # Held (serverHold) domains: old registrations that went dark
@@ -606,13 +559,27 @@ def _populate_shard(config: ScenarioConfig, tld_targets: TLDTargets,
                 held_rng.uniform(5 * DAY, 50 * DAY))
             registry.place_hold(domain, max(hold_at, created + DAY))
             dzdb.add_interval(domain, created + DAY, hold_at)
-            ca_index = _CA_INDICES.pick(bank.stream("capick"))
-            seed_token(ca_index, domain, max(created + 2 * DAY,
-                                             hold_at - 300 * DAY))
+            validated_at = max(created + 2 * DAY, hold_at - 300 * DAY)
             request_at = config.window.start + held_rng.randrange(
                 config.window.duration)
-            cert_events.append((request_at, domain, None, ca_index))
+            reuses.append((None, domain, validated_at, request_at))
             stats["held_domains"] += 1
+
+
+def _settle_reuses(reuses: List[Reuse], capick: RngStream,
+                   cas: Sequence[CertificateAuthority],
+                   cert_events: List[CertEvent]) -> None:
+    """Pin each reuse's CA, seed its DV token, and queue its request.
+
+    An unpinned reuse draws its CA from ``capick``, the one stream
+    shared across shards, so callers settle shards in canonical
+    ``(tld, month)`` order: the serial build after each shard, the
+    multi-core build in its canonical end pass.
+    """
+    for pinned, domain, validated_at, request_at in reuses:
+        ca_index = pinned if pinned is not None else _CA_INDICES.pick(capick)
+        cas[ca_index].seed_token(domain, validated_at)
+        cert_events.append((request_at, domain, None, ca_index))
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +591,8 @@ def shard_keys(targets: Dict[str, TLDTargets]) -> List[ShardKey]:
     """Every ``(tld, month)`` build shard in canonical order.
 
     Canonical order — sorted TLDs, months chronological — is the order
-    the serial build populates shards in, the order capick offsets are
-    accumulated in, and the order scenario-global merge results are
-    applied in.
+    the serial build populates shards in, and the order scenario-global
+    merge results (shared-stream CA picks included) are applied in.
     """
     return [(tld, month)
             for tld in sorted(targets) for month in cal.MONTH_KEYS]
@@ -638,16 +604,16 @@ def shard_label(key: ShardKey) -> str:
 
 
 def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
-                        month: str, capick_offset: int) -> ShardArrays:
+                        month: str) -> ShardArrays:
     """Build one shard against private substrates; return compact arrays.
 
     The process-agnostic shard core: reconstructs the scenario's
-    stream bank from the master seed, fast-forwards the shared capick
-    stream to this shard's precomputed offset, populates a private
+    stream bank from the master seed, populates a private
     registry/DZDB, and returns everything as picklable arrays —
-    registration rows, dirty zone ticks, DZDB intervals, DV-token
-    seeds (by CA index), certificate-request events, and counters.  No
-    lifecycle, CA, or timeline object crosses the process boundary.
+    registration rows, dirty zone ticks, DZDB intervals, token reuses
+    (CA unpicked unless pinned), certificate-request events, and
+    counters.  No lifecycle, CA, or timeline object crosses the
+    process boundary.
     The arrays depend only on the config and the shard, so a rebuilt
     shard returns the identical result.
 
@@ -657,26 +623,22 @@ def _build_shard_arrays(config: ScenarioConfig, tld_targets: TLDTargets,
     wipe the parent's live spans.
     """
     bank = StreamBank(config.seed)
-    bank.stream("capick").fast_forward(capick_offset)
     registry = Registry(policy_for(tld_targets.tld))
     dzdb = DZDB()
-    tokens: List[Tuple[int, str, int]] = []
+    reuses: List[Reuse] = []
     cert_events: List[CertEvent] = []
     stats = dict.fromkeys(_STAT_KEYS, 0)
     with span("build.populate_shard", tld=tld_targets.tld,
               month=month) as sp:
-        _populate_shard(
-            config, tld_targets, month, bank, registry, dzdb,
-            lambda index, domain, ts: tokens.append((index, domain, ts)),
-            cert_events, stats)
+        _populate_shard(config, tld_targets, month, bank, registry, dzdb,
+                        reuses, cert_events, stats)
         sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
     return (lifecycle_rows(registry), tuple(registry.dirty_tick_indices()),
-            dzdb.export_rows(), tokens, cert_events, stats)
+            dzdb.export_rows(), reuses, cert_events, stats)
 
 
 def _build_shard_worker(
-        payload: Tuple[ScenarioConfig, TLDTargets, str, int,
-                       Optional[float]]):
+        payload: Tuple[ScenarioConfig, TLDTargets, str, Optional[float]]):
     """Worker entry point: one ``(tld, month)`` shard in a pool process.
 
     Wraps :func:`_build_shard_arrays` with the per-process concerns —
@@ -698,7 +660,7 @@ def _build_shard_worker(
     parent to stitch (:meth:`Tracer.adopt_spans` /
     :meth:`SamplingProfiler.merge_counts`).
     """
-    config, tld_targets, month, capick_offset, profile_interval = payload
+    config, tld_targets, month, profile_interval = payload
     trace = tracer()
     trace.detach_sink()   # the inherited sink handle belongs to the parent
     trace.reset()
@@ -720,8 +682,7 @@ def _build_shard_worker(
         gc.disable()
     try:
         configure_interner(4 * tld_targets.total_nrd + 10_000)
-        arrays = _build_shard_arrays(config, tld_targets, month,
-                                     capick_offset)
+        arrays = _build_shard_arrays(config, tld_targets, month)
         if profiler is not None:
             profiler.stop()
         return (arrays, os.getpid(), trace.export_records(),
@@ -742,7 +703,7 @@ def _resolve_jobs(parallel: int, n_shards: int) -> int:
 
 def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
                   jobs: int, registries: RegistryGroup, dzdb: DZDB,
-                  seed_token: Callable[[int, str, int], None],
+                  settle: Callable[[List[Reuse]], None],
                   cert_events: List[CertEvent],
                   stats: Dict[str, int],
                   merge_span: Optional[Span] = None,
@@ -750,10 +711,10 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     """Build every ``(tld, month)`` shard in a process pool and merge.
 
     Shard granularity is one gTLD-month: every stream a shard draws
-    from is ``(tld, month)``-scoped (or capick-offset-corrected), so
-    the ~`3 × n_tlds` shards are mutually independent and the worker
-    phase is no longer bounded by the largest *TLD* — only by the
-    largest single month, a ~3× smaller straggler.  Shards are
+    from is ``(tld, month)``-scoped, so the ~`3 × n_tlds` shards are
+    mutually independent and the worker phase is no longer bounded by
+    the largest *TLD* — only by the largest single month, a ~3×
+    smaller straggler.  Shards are
     submitted in LPT order (:func:`lpt_order` over
     :func:`shard_estimates`), so the biggest months start first.
 
@@ -762,7 +723,8 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     its registry in chronological order (insertion order is
     canonical), so a landed month waits only until its predecessors
     have merged.  Everything whose *scenario-global* order could
-    depend on worker timing — DZDB intervals, DV-token seeds,
+    depend on worker timing — DZDB intervals, token reuses (whose
+    unpinned CA picks ``settle`` draws from the shared stream),
     counters — is buffered and applied in canonical ``(tld, month)``
     order at the end, so the built world is identical run to run and
     to the serial build, byte for byte.  (Certificate events need no
@@ -804,17 +766,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         # asks for.  A no-op (factor 1) when cores >= jobs.
         oversub = max(1.0, jobs / (os.cpu_count() or jobs))
         profile_interval = profiler.interval * oversub
-    counts = capick_draw_counts(config, targets)
     keys = shard_keys(targets)
-    payloads = {}
-    offsets: Dict[ShardKey, int] = {}
-    offset = 0
-    for key in keys:
-        tld, month = key
-        offsets[key] = offset
-        payloads[key] = (config, targets[tld], month, offset,
-                         profile_interval)
-        offset += counts[key]
     submission = lpt_order(shard_estimates(config, targets))
     # fork keeps worker start-up (re-import, re-calibration) off the
     # critical path where the platform allows it.
@@ -861,13 +813,13 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             registry_tld = registries.get(tld)
             while pos < len(months) and (tld, months[pos]) in landed:
                 key = (tld, months[pos])
-                (rows, dirty_ticks, dzdb_rows, tokens, shard_events,
+                (rows, dirty_ticks, dzdb_rows, reuses, shard_events,
                  shard_stats) = landed.pop(key)
                 registry_tld.register_many(rows, dirty_ticks)
                 if on_rows is not None:
                     on_rows(len(rows))
                 cert_events.extend(shard_events)
-                deferred[key] = (dzdb_rows, tokens, shard_stats)
+                deferred[key] = (dzdb_rows, reuses, shard_stats)
                 pos += 1
             month_pos[tld] = pos
 
@@ -886,7 +838,9 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
 
     try:
         for key in submission:
-            future = pool.submit(_build_shard_worker, payloads[key])
+            future = pool.submit(_build_shard_worker,
+                                 (config, targets[key[0]], key[1],
+                                  profile_interval))
             pending[future] = (key, time.monotonic())
         while pending:
             done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
@@ -930,7 +884,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             with span("recovery.serial_fallback", tld=key[0],
                       month=key[1]):
                 landed[key] = _build_shard_arrays(
-                    config, targets[key[0]], key[1], offsets[key])
+                    config, targets[key[0]], key[1])
         advance_merge()
     if len(deferred) != len(keys):  # impossible by construction; loud > quiet
         missing = [shard_label(k) for k in keys if k not in deferred]
@@ -938,10 +892,9 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             f"shards never merged: {', '.join(missing)}")
 
     for key in sorted(deferred):
-        dzdb_rows, tokens, shard_stats = deferred[key]
+        dzdb_rows, reuses, shard_stats = deferred[key]
         dzdb.merge_rows(dzdb_rows)
-        for ca_index, domain, validated_at in tokens:
-            seed_token(ca_index, domain, validated_at)
+        settle(reuses)
         for stat_key, value in shard_stats.items():
             stats[stat_key] += value
 
@@ -997,9 +950,8 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
             raise ConfigError(f"unknown TLDs requested: {sorted(unknown)}")
         targets = {t: targets[t] for t in config.tlds}
     if plugin is not None:
-        # Target transforms land before the counting pass, so capick
-        # offsets, shard estimates, and worker payloads all see the
-        # scenario's targets — multi-core safety by construction.
+        # Target transforms land before shard estimates and worker
+        # payloads are derived, so both see the scenario's targets.
         targets = plugin.transform_targets(config, targets)
 
     # Size the process name interner from the planned world volume so
@@ -1028,9 +980,6 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
                                 validation_delay=5 + 5 * i)
            for i, profile in enumerate(CA_PROFILES)]
 
-    def seed_token(ca_index: int, domain: str, validated_at: int) -> None:
-        cas[ca_index].seed_token(domain, validated_at)
-
     dzdb = DZDB()
     stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
 
@@ -1039,16 +988,20 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     # the CA (by index) holding the cached DV token; ordinary requests
     # pick a CA by market share at issuance time.
     cert_events: List[CertEvent] = []
+    capick = bank.stream("capick")
+
+    def settle(reuses: List[Reuse]) -> None:
+        _settle_reuses(reuses, capick, cas, cert_events)
 
     # --- gTLD populations -------------------------------------------------------
     # Each (tld, month) shard's generation is independent given its
-    # streams; only the capick CA-pick stream is shared, and its
-    # per-shard draw counts are known up front.  So the serial and
-    # multi-core paths run the SAME per-shard code (_populate_shard) —
-    # serial against the live substrates in canonical shard order,
-    # parallel against worker-private ones whose whole-shard results
-    # merge in canonical order.  Either way the resulting world is
-    # bit-identical (docs/determinism.md).
+    # streams; only the CA picks of its token reuses draw from a shared
+    # stream, and settle() makes them in canonical shard order.  So the
+    # serial and multi-core paths run the SAME per-shard code
+    # (_populate_shard) — serial against the live substrates in
+    # canonical shard order, parallel against worker-private ones whose
+    # whole-shard results merge in canonical order.  Either way the
+    # resulting world is bit-identical (docs/determinism.md).
     n_shards = len(targets) * len(cal.MONTH_KEYS)
     jobs = _resolve_jobs(config.parallel, n_shards)
     progress = build_progress()
@@ -1065,7 +1018,7 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
         with span("build.merge_shards", jobs=jobs,
                   shards=n_shards) as merge_span:
             _merge_shards(config, targets, jobs, registries, dzdb,
-                          seed_token, cert_events, stats,
+                          settle, cert_events, stats,
                           merge_span=merge_span
                           if isinstance(merge_span, Span) else None,
                           on_rows=_count_rows)
@@ -1080,12 +1033,14 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
         for tld, tld_targets in sorted(targets.items()):
             registry = registries.get(tld)
             for month in cal.MONTH_KEYS:
+                reuses: List[Reuse] = []
                 with span("build.populate_shard", tld=tld,
                           month=month) as sp:
                     _populate_shard(config, tld_targets, month, bank,
-                                    registry, dzdb, seed_token,
+                                    registry, dzdb, reuses,
                                     cert_events, stats)
                     sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
+                settle(reuses)
                 shards_done["n"] += 1
 
     # --- ccTLD population (the §4.4b ground-truth registry) ------------------------
@@ -1154,12 +1109,12 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     # --- execute certificate requests in time order ---------------------------------
     with span("build.issue_certs") as sp:
         cert_events.sort(key=lambda e: (e[0], e[1]))
-        capick = bank.stream("capick", "issue")
+        issue_rng = bank.stream("capick", "issue")
         for request_at, domain, sans, pinned_index in cert_events:
             if request_at >= config.window.end:
                 continue
             ca = cas[pinned_index if pinned_index is not None
-                     else _CA_INDICES.pick(capick)]
+                     else _CA_INDICES.pick(issue_rng)]
             try:
                 ca.request_certificate(domain, request_at,
                                        extra_sans=sans or ())

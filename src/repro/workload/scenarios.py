@@ -9,8 +9,8 @@ at a well-defined point of the (deterministic, multi-core) build:
   before any substrate exists (e.g. a slow registry publishing
   snapshots every other day);
 * :meth:`Scenario.transform_targets` — rewrite the calibrated
-  :class:`~repro.workload.calibration.TLDTargets` before the counting
-  pass, so ``capick_draw_counts`` / ``shard_estimates`` stay exact;
+  :class:`~repro.workload.calibration.TLDTargets` before the shard
+  plan (``shard_estimates``) is derived from them;
 * :meth:`Scenario.transform_month_plan` — extend or perturb one
   ``(tld, month)`` shard's registration/ghost plans through a
   :class:`MonthPlanContext`.
@@ -25,12 +25,6 @@ streams, so every scenario world keeps the build's two invariants:
   ``benchmarks/BENCH_scenarios.json``);
 * ``scenario="baseline"`` builds the *same bytes* as ``scenario=None``
   — an identity plugin touches no stream the base build reads.
-
-Scenario-planned ghost certificates MUST pin their CA
-(``GhostCertPlan.ca_index``): the shared ``capick`` stream's per-shard
-draw counts are a pure function of the (transformed) targets, and an
-unpinned extra ghost would shift every later shard's fast-forward
-offset.  :meth:`MonthPlanContext.add_ghost` does this for you.
 
 Registering a plugin::
 
@@ -47,7 +41,7 @@ Registering a plugin::
 
 Every registered scenario is pinned by the scenario-matrix suite
 (``tests/test_scenarios.py``): a committed fingerprint golden, a
-jobs=1 ≡ jobs=2 proof, a counting-pass audit, and an observer
+jobs=1 ≡ jobs=2 proof, and an observer
 expectation (``repro.obs.observers.SCENARIO_EXPECTATIONS``) asserting
 which anomaly detector the scenario must light up.  Authoring guide:
 ``docs/scenarios.md``.
@@ -83,8 +77,8 @@ __all__ = [
     "iter_scenarios", "parse_scenario_spec",
 ]
 
-#: CA market-share sampler over indices — scenario ghosts pin their CA
-#: from the scenario stream with exactly one draw (see module docstring).
+#: CA market-share sampler over indices — ``add_ghost`` pins a ghost's
+#: CA from the scenario stream with exactly one draw.
 _CA_INDICES = ca_index_sampler()
 
 _BENIGN = profile_sampler(BENIGN_PROFILES)
@@ -179,9 +173,8 @@ class MonthPlanContext:
                   style: str = "dga") -> GhostCertPlan:
         """Append one ghost certificate with its CA pre-pinned.
 
-        Pinning (``ca_index``) is what keeps scenario ghosts off the
-        shared ``capick`` stream — they draw their CA here, from the
-        scenario stream, so the counting pass stays exact.
+        The CA is drawn here, from the scenario stream, so a scenario's
+        ghosts leave the calibrated ghosts' CA picks untouched.
         """
         rng = self.rng
         requested_at = int(requested_at)
@@ -247,10 +240,9 @@ class Scenario:
                           ) -> Dict[str, TLDTargets]:
         """Rewrite the calibrated per-TLD targets.
 
-        Runs once, after the TLD filter and before the counting pass —
-        ghost/held volumes derived from the returned targets are what
-        ``capick_draw_counts`` and the worker fast-forward offsets see,
-        so target perturbations stay multi-core safe by construction.
+        Runs once, after the TLD filter and before any shard is
+        planned, so the serial build and every worker see the returned
+        targets.
         """
         return targets
 
@@ -397,9 +389,8 @@ class DropCatchRace(Scenario):
     certificates anyway, for names they never obtained: CT entries with
     no delegation behind them, which is what spikes ``dark_hosts``.
     The catch economy also runs hotter overall: calibrated transient
-    volume is boosted by ``transient_boost``, which perturbs the
-    ghost/held populations the counting pass must keep exact (audited
-    per scenario in ``tests/test_workload.py``).
+    volume is boosted by ``transient_boost``, which also grows the
+    ghost/held populations.
     """
 
     name = "drop-catch-race"

@@ -76,5 +76,5 @@ def test_doctest_examples_pass(page):
                                        verbose=False)
     assert failures == 0
     if page.name == "determinism.md":
-        # The fast-forward contract example must actually be there.
+        # The named-streams example must actually be there.
         assert tests > 0

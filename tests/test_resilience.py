@@ -340,11 +340,11 @@ class TestSupervisedBuild:
         parent = os.getpid()
         build = scenario._build_shard_arrays
 
-        def dying_build(config, tld_targets, month, capick_offset):
+        def dying_build(config, tld_targets, month):
             if os.getpid() != parent and (tld_targets.tld, month) == (
                     "com", "2023-12"):
                 os._exit(1)
-            return build(config, tld_targets, month, capick_offset)
+            return build(config, tld_targets, month)
 
         monkeypatch.setattr(scenario, "_build_shard_arrays", dying_build)
         fp = self._fingerprint(parallel=2)

@@ -17,6 +17,8 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import json
+import multiprocessing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from repro.workload.scenario import (
     build_world,
     world_fingerprint,
 )
+from repro.workload import scenarios
 from repro.workload.scenarios import (
     Knob,
     Scenario,
@@ -261,6 +264,33 @@ class TestPluginPlumbing:
                                         bank, namegen)
         scenario_ghosts = [g for g in ghosts if g.ca_index is not None]
         assert scenario_ghosts, "hijack planned no ghosts in its month"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the probe plugin reaches workers only by fork")
+    def test_unpinned_scenario_ghosts_keep_jobs1_equal_jobs2(
+            self, monkeypatch):
+        # A plugin ghost without a pinned CA draws from the stream the
+        # calibrated ghosts share; the multi-core build must still draw
+        # it in canonical shard order.  Registered for this test only,
+        # so it stays out of the scenario matrix.
+        class UnpinnedGhosts(Scenario):
+            name = "unpinned-ghost-probe"
+
+            def transform_month_plan(self, ctx):
+                ghost = ctx.add_ghost(ctx.window.start + DAY)
+                ctx.ghosts[-1] = replace(ghost, ca_index=None)
+
+        monkeypatch.setitem(scenarios._REGISTRY, UnpinnedGhosts.name,
+                            UnpinnedGhosts)
+        config = ScenarioConfig(seed=13, scale=1 / 2000,
+                                tlds=["com", "xyz", "top"],
+                                include_cctld=False,
+                                scenario=UnpinnedGhosts.name)
+        serial = world_fingerprint(build_world(config))
+        parallel = world_fingerprint(build_world(replace(config,
+                                                         parallel=2)))
+        assert serial == parallel
 
     def test_ttl_storm_only_rewires_plans(self):
         base = build_world(_matrix_config(None, tlds=["com"]))

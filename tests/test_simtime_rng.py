@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simtime.rng import (
-    CountingStream,
     RngStream,
     StreamBank,
     WeightedSampler,
@@ -110,12 +109,6 @@ class TestSeedBank:
         bank = StreamBank(7)
         assert bank.stream("a") is bank.stream("a")
 
-    def test_fresh_streams_restart(self):
-        bank = StreamBank(7)
-        first = bank.fresh("x").random()
-        again = bank.fresh("x").random()
-        assert first == again
-
     def test_memoised_stream_advances(self):
         bank = StreamBank(7)
         first = bank.stream("x").random()
@@ -217,168 +210,16 @@ class TestWeightedSampler:
         with pytest.raises(ValueError):
             rng.weighted_choice(["a", "b"], [0.0, 0.0])
 
-
-class TestFastForward:
-    """fast_forward(k) must land on exactly the post-k-draws state.
-
-    This is the contract the multi-core world build stands on: a worker
-    that fast-forwards the shared capick stream by the counting pass's
-    offset must produce the same picks a serial build would have — for
-    every draw kind the planner consumes.
-    """
-
-    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 200),
-           tail=st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_random_kind_equals_discarded_draws(self, seed, k, tail):
-        skipped = RngStream(seed, "ff").fast_forward(k)
-        manual = RngStream(seed, "ff")
-        for _ in range(k):
-            manual.random()
-        assert ([skipped.random() for _ in range(tail)]
-                == [manual.random() for _ in range(tail)])
-
-    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 200),
-           a=st.floats(-1e6, 1e6, allow_nan=False),
-           b=st.floats(0.0, 1e6, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_uniform_kind_equals_discarded_uniforms(self, seed, k, a, b):
-        skipped = RngStream(seed, "ffu").fast_forward(k, kind="uniform")
-        manual = RngStream(seed, "ffu")
-        for _ in range(k):
-            manual.uniform(a, a + b)
-        assert skipped.random() == manual.random()
-
-    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 200),
-           population=st.integers(1, 500))
-    @settings(max_examples=60, deadline=None)
-    def test_choice_kind_equals_discarded_choices(self, seed, k, population):
-        skipped = RngStream(seed, "ffc").fast_forward(
-            k, kind="choice", population=population)
-        manual = RngStream(seed, "ffc")
-        pool = list(range(population))
-        for _ in range(k):
-            manual.choice(pool)
-        assert skipped.random() == manual.random()
-
-    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 200),
-           mu=st.floats(-5.0, 10.0, allow_nan=False),
-           sigma=st.floats(0.01, 3.0, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_lognormvariate_kind_equals_discarded_draws(self, seed, k,
-                                                        mu, sigma):
-        # Consumption of the normal-variate rejection loop is
-        # independent of (mu, sigma), so the fast-forward need not know
-        # the parameters the serial build used.
-        skipped = RngStream(seed, "ffl").fast_forward(
-            k, kind="lognormvariate")
-        manual = RngStream(seed, "ffl")
-        for _ in range(k):
-            manual.lognormvariate(mu, sigma)
-        assert skipped.random() == manual.random()
-
-    def test_zero_is_a_noop(self):
-        assert (RngStream(7, "z").fast_forward(0).random()
-                == RngStream(7, "z").random())
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            RngStream(7, "x").fast_forward(-1)
-        with pytest.raises(ValueError):
-            RngStream(7, "x").fast_forward(1, kind="gauss")
-        with pytest.raises(ValueError):
-            RngStream(7, "x").fast_forward(1, kind="choice", population=0)
-
-    def test_weighted_sampler_pick_is_one_draw(self):
-        # The capick contract: one WeightedSampler pick == one random()
-        # draw, so counting picks counts fast-forward units.
+    def test_pick_is_one_draw(self):
+        # One pick consumes exactly one random() draw, so swapping a
+        # sampler for per-call weighted_choice never shifts a stream.
         sampler = WeightedSampler(["a", "b", "c"], [0.2, 0.3, 0.5])
         picked = RngStream(7, "cap")
+        walked = RngStream(7, "cap")
         for _ in range(25):
             sampler.pick(picked)
-        assert picked.random() == RngStream(7, "cap").fast_forward(25).random()
-
-    @given(seed=st.integers(0, 2 ** 32),
-           counts=st.lists(st.integers(0, 40), min_size=1, max_size=12),
-           kind=st.sampled_from(["random", "uniform", "choice",
-                                 "lognormvariate"]))
-    @settings(max_examples=60, deadline=None)
-    def test_sharded_split_reproduces_serial_sequence(self, seed, counts,
-                                                      kind):
-        """The per-(tld, month) relayout contract: partition a shared
-        stream's draws into per-shard counts, give every shard a FRESH
-        stream fast-forwarded to its prefix-sum offset, and the
-        concatenation of the shards' draws equals the serial sequence —
-        for every fast-forwardable draw kind, any shard sizes, any
-        shard count (the build's ~60 shards are one instance).
-        """
-        def draw(stream):
-            if kind == "random":
-                return stream.random()
-            if kind == "uniform":
-                return stream.uniform(2.0, 9.0)
-            if kind == "choice":
-                return stream.choice(list(range(17)))
-            return stream.lognormvariate(1.0, 0.5)
-
-        serial = RngStream(seed, "capick")
-        expected = [draw(serial) for _ in range(sum(counts))]
-        pieces = []
-        offset = 0
-        for count in counts:
-            shard = RngStream(seed, "capick")
-            shard.fast_forward(offset, kind=kind,
-                               **({"population": 17}
-                                  if kind == "choice" else {}))
-            pieces.extend(draw(shard) for _ in range(count))
-            offset += count
-        assert pieces == expected
-
-
-class TestCountingStream:
-    def test_draw_identical_to_plain_stream(self):
-        counting = CountingStream(7, "c")
-        plain = RngStream(7, "c")
-        got = [counting.random(), counting.choice([1, 2, 3]),
-               counting.lognormvariate(0, 1), counting.randrange(100)]
-        want = [plain.random(), plain.choice([1, 2, 3]),
-                plain.lognormvariate(0, 1), plain.randrange(100)]
-        assert got == want
-
-    def test_counts_random_draws(self):
-        stream = CountingStream(7, "c2")
-        for _ in range(13):
-            stream.random()
-        stream.uniform(0, 1)
-        assert stream.random_draws == 14
-
-    def test_counts_getrandbits(self):
-        stream = CountingStream(7, "c3")
-        stream.getrandbits(8)
-        stream.getrandbits(64)
-        assert stream.getrandbits_draws == 2
-
-
-class TestStreamBank:
-    def test_fast_forward_matches_stream_method(self):
-        jumped = StreamBank(7)
-        jumped.fast_forward(("capick",), 17)
-        walked = StreamBank(7)
-        for _ in range(17):
-            walked.stream("capick").random()
-        assert jumped.stream("capick").random() == walked.stream("capick").random()
-
-    def test_fast_forward_memoises_the_stream(self):
-        bank = StreamBank(7)
-        stream = bank.fast_forward(("x",), 3)
-        assert bank.stream("x") is stream
-
-    def test_adopt_installs_counting_stream(self):
-        bank = StreamBank(7)
-        counter = bank.adopt(CountingStream(7, "capick"), "capick")
-        assert bank.stream("capick") is counter
-        bank.stream("capick").random()
-        assert counter.random_draws == 1
+            walked.random()
+        assert picked.random() == walked.random()
 
 
 class TestStableHashMemo:

@@ -23,7 +23,6 @@ from repro.workload.calibration import (
 from repro.workload.campaign import Campaign, plan_campaign
 from repro.workload.namegen import NameGenerator, subdomain_names
 from repro.workload.scenario import ScenarioConfig, build_world, small_world
-from repro.workload.scenarios import scenario_names
 from repro import paperdata
 
 
@@ -233,73 +232,6 @@ class TestScenario:
         world = small_world(seed=2, tlds=("com",), scale=1 / 5000)
         assert world.cctld_tld is None
         assert set(world.targets) == {"com"}
-
-
-class TestCapickDrawAccounting:
-    """The counting pass behind the multi-core build's fast-forward.
-
-    ``capick_draw_counts`` must predict, per ``(tld, month)`` shard,
-    exactly how many draws ``_populate_shard`` consumes from the shared
-    capick stream — otherwise a shard's fast-forward offset drifts and
-    every CA pick after the first mispredicted shard diverges from the
-    serial build.
-    """
-
-    def _audit(self, config):
-        from repro.czds.dzdb import DZDB
-        from repro.registry.policy import policy_for
-        from repro.registry.registry import Registry
-        from repro.simtime.rng import CountingStream, StreamBank
-        from repro.workload.scenario import (_STAT_KEYS, _populate_shard,
-                                             capick_draw_counts, shard_keys)
-
-        plugin = config.plugin()
-        if plugin is not None:
-            config = plugin.configure(config)
-        targets = cal.build_targets(config.scale)
-        if config.tlds is not None:
-            targets = {t: targets[t] for t in config.tlds}
-        if plugin is not None:
-            targets = plugin.transform_targets(config, targets)
-        predicted = capick_draw_counts(config, targets)
-        bank = StreamBank(config.seed)
-        counter = bank.adopt(CountingStream(config.seed, "capick"), "capick")
-        registries = {tld: Registry(policy_for(tld)) for tld in targets}
-        for tld, month in shard_keys(targets):
-            before = counter.random_draws
-            _populate_shard(config, targets[tld], month, bank,
-                            registries[tld], DZDB(),
-                            lambda index, domain, ts: None, [],
-                            dict.fromkeys(_STAT_KEYS, 0))
-            assert (counter.random_draws - before
-                    == predicted[(tld, month)]), (tld, month)
-        return predicted
-
-    def test_counts_match_consumption(self):
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz", "top", "bond"],
-            include_cctld=False))
-        assert sum(predicted.values()) > 0
-
-    def test_ablations_gate_the_draws(self):
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz"],
-            include_cctld=False, ghost_certs=False, held_domains=False))
-        assert all(count == 0 for count in predicted.values())
-
-    @pytest.mark.parametrize("scenario", scenario_names())
-    def test_counts_stay_exact_under_every_scenario(self, scenario):
-        # Scenario plugins may rewrite targets (drop-catch boosts the
-        # transient volume → more ghost/held draws) and add their own
-        # ghosts — the counting pass must keep predicting the shared
-        # capick stream's consumption exactly, or every worker's
-        # fast-forward offset drifts.  Scenario-planned ghosts stay off
-        # the stream entirely (pinned ca_index), which this audit
-        # proves shard by shard.
-        predicted = self._audit(ScenarioConfig(
-            seed=13, scale=1 / 2000, tlds=["com", "xyz", "top", "bond"],
-            include_cctld=False, scenario=scenario))
-        assert sum(predicted.values()) > 0
 
 
 class TestShardScheduling:
