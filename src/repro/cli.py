@@ -22,8 +22,7 @@ Commands
     snapshot as JSON.
 ``metrics``
     Run a pipeline and print the process telemetry registry — every
-    subsystem's counters plus the phase spans — as a JSON snapshot or
-    in the Prometheus text exposition format (``--format prom``).
+    subsystem's counters plus the phase spans — as a JSON snapshot.
 
 ``reproduce`` / ``scan`` / ``serve`` also accept ``--metrics-out PATH``
 to write the registry snapshot (JSON) next to their normal output,
@@ -33,8 +32,7 @@ plus the diagnosis flags (``docs/observability.md``):
   (:mod:`repro.obs.profiler`) and write flamegraph-collapsed stacks;
 * ``--log-json PATH`` — append every log event as one JSON object per
   line (the human-readable stderr rendering stays on either way);
-* ``--heartbeat SECONDS`` / ``--quiet`` — tune or suppress the live
-  progress line rendered on TTYs during long builds.
+* ``--quiet`` — drop info-level log events (warnings and errors stay).
 
 Error reporting is uniform across subcommands: bad user input (flag
 values, filter specs, durations, paths) exits 2 with one clean line on
@@ -48,9 +46,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import List, Optional
 
 from repro._version import __version__
@@ -60,11 +59,9 @@ from repro.analysis.visibility import DEFAULT_CADENCES, rzu_report, rzu_sweep
 from repro.core.ctdetect import CTDetector
 from repro.core.pipeline import DarkDNSPipeline
 from repro.errors import ReproError
-from repro.obs.exposition import to_json, to_prometheus
 from repro.obs.log import get_logger, router
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import to_json
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.progress import Heartbeat
 from repro.scan import ProbeResultStore, ScanConfig, ScanEngine
 from repro.serve import FeedServer, FeedServerConfig, FilterSpec
 from repro.simtime.clock import DAY, Window, parse_duration
@@ -87,10 +84,13 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (``nan``/``inf`` rejected)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {value}")
     return value
@@ -172,36 +172,35 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-json", metavar="PATH", default=None,
                         help="append every log event as one JSON object "
                              "per line to PATH (stderr rendering stays on)")
-    parser.add_argument("--heartbeat", type=_positive_float, default=10.0,
-                        metavar="SECONDS",
-                        help="seconds between live progress lines on a "
-                             "TTY (default 10)")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress info-level stderr output and the "
-                             "heartbeat (warnings and errors stay)")
+                        help="drop info-level log events from stderr and "
+                             "--log-json (warnings and errors stay)")
 
 
 @contextmanager
 def _instrumented(args: argparse.Namespace):
     """Run one subcommand under the diagnosis wiring of its obs flags.
 
-    Attaches the ``--log-json`` sink, raises the stderr threshold under
-    ``--quiet``, starts the TTY heartbeat and the ``--profile-out``
-    profiler — and undoes all of it on the way out (the router's level
-    and sink are process-global; a CLI invocation must not leak its
-    settings into an embedding process or the next test).
+    Raises the log threshold under ``--quiet``, attaches the
+    ``--log-json`` sink and starts the ``--profile-out`` profiler —
+    and undoes each setting on every exit path, including a failure
+    to set up a later one (the router's level and sink are
+    process-global; a CLI invocation must not leak its settings into
+    an embedding process or the next test).
     """
     route = router()
-    prev_level = route.level
-    if args.quiet:
-        route.set_level("warning")
-    if args.log_json is not None:
-        route.open_json(args.log_json)
-    heartbeat = (Heartbeat(interval=args.heartbeat).start()
-                 if Heartbeat.wanted(quiet=args.quiet) else None)
-    profiler = (SamplingProfiler(interval=args.profile_interval).start()
-                if args.profile_out is not None else None)
-    try:
+    with ExitStack() as undo:
+        undo.callback(route.set_level, route.level)
+        if args.quiet:
+            route.set_level("warning")
+        if args.log_json is not None:
+            route.open_json(args.log_json)
+            undo.callback(route.close_json)
+        profiler = None
+        if args.profile_out is not None:
+            profiler = SamplingProfiler(interval=args.profile_interval)
+            undo.callback(profiler.stop)
+            profiler.start()
         yield
         if profiler is not None:
             profiler.stop()
@@ -209,21 +208,13 @@ def _instrumented(args: argparse.Namespace):
             log.info(f"wrote {lines} collapsed stacks "
                      f"({profiler.samples:,} samples) to {args.profile_out}",
                      samples=profiler.samples, stacks=lines)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        if heartbeat is not None:
-            heartbeat.stop()
-        if args.log_json is not None:
-            route.close_json()
-        route.set_level(prev_level)
 
 
 def _write_metrics_out(path: Optional[str]) -> None:
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json(get_registry()) + "\n")
+        handle.write(to_json() + "\n")
     log.info(f"wrote metrics snapshot to {path}")
 
 
@@ -376,13 +367,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """Run the pipeline, then expose the whole telemetry registry."""
+    """Run the pipeline, then print the telemetry registry as JSON."""
     world = _world_from(args)
     DarkDNSPipeline(world).run()
-    if args.format == "prom":
-        print(to_prometheus(get_registry()), end="")
-    else:
-        print(to_json(get_registry()))
+    print(to_json())
     return 0
 
 
@@ -504,10 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics = sub.add_parser(
         "metrics", help="run a pipeline, print the telemetry registry")
     _add_world_args(p_metrics)
-    p_metrics.add_argument("--format", choices=("json", "prom"),
-                           default="json",
-                           help="JSON snapshot (default) or Prometheus "
-                                "text exposition format")
     p_metrics.set_defaults(func=cmd_metrics)
     return parser
 

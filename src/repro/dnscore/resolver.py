@@ -25,7 +25,6 @@ from repro.dnscore.cache import ResolverCache
 from repro.dnscore.message import Query, RCode, Response, servfail
 from repro.dnscore.records import RRType
 from repro.errors import DNSError
-from repro.obs.metrics import Gauge
 from repro.simtime.rng import stable_bucket
 
 
@@ -237,29 +236,15 @@ class ResolverPool:
 
 
 class ResolverPoolMetrics:
-    """A registry provider exposing one pool's fleet state as gauges.
+    """A registry provider exposing one pool's fleet state.
 
-    Pull-based: every gauge reads the pool at snapshot/exposition time
-    via :meth:`~repro.obs.metrics.Gauge.set_function`, so nothing is
-    pushed on the resolution hot path.  The scan engine registers one
-    of these as the ``"scan.resolver"`` group.
+    :meth:`snapshot` reads the pool when the registry is rendered, so
+    nothing is pushed on the resolution hot path.  The scan engine
+    registers one of these as the ``"scan.resolver"`` group.
     """
-
-    STAT_FIELDS = ("queries", "cache_hits", "upstream_queries",
-                   "servfails", "nxdomains")
 
     def __init__(self, pool: "ResolverPool") -> None:
         self.pool = pool
-        self.pool_size = Gauge("pool_size", "resolvers in the fleet")
-        self.pool_size.set_function(lambda: len(pool))
-        self.fleet = Gauge("fleet", "merged fleet resolver counters",
-                           labelnames=("stat",))
-        for stat in self.STAT_FIELDS:
-            self.fleet.labels(stat).set_function(
-                lambda s=stat: getattr(pool.aggregate_stats(), s))
-
-    def metrics(self):
-        return (self.pool_size, self.fleet)
 
     def snapshot(self) -> Dict[str, int]:
         snap: Dict[str, int] = {"pool_size": len(self.pool)}

@@ -1,21 +1,18 @@
-"""repro.obs — unified telemetry: registry, spans, exposition, observers.
+"""repro.obs — unified telemetry: registry, spans, observers.
 
 The cross-cutting observability layer (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
-  primitives and the process-wide :class:`MetricsRegistry`;
+  primitives, the process-wide :class:`MetricsRegistry`, and its JSON
+  snapshot rendering :func:`to_json`;
 * :mod:`repro.obs.spans` — the phase :func:`span` tracer (wall time,
-  sim time, peak RSS, JSONL event sink);
-* :mod:`repro.obs.exposition` — Prometheus text + JSON snapshot
-  renderings of the registry (and the parse/lint inverses);
+  sim time, peak RSS, cross-process stitching);
 * :mod:`repro.obs.observers` — standing observers: rolling baselines,
   z-score / step-change significance, mass-event triggers;
 * :mod:`repro.obs.profiler` — sampling profiler with span-phase
   attribution and flamegraph-collapsed output;
 * :mod:`repro.obs.log` — structured logging with span/trace
-  correlation ids and rate-limited duplicate suppression;
-* :mod:`repro.obs.progress` — live pull gauges + the heartbeat
-  reporter for long builds.
+  correlation ids and rate-limited duplicate suppression.
 
 ``repro.obs`` sits at the very top of the layer map: it imports
 nothing from the rest of ``repro`` (stdlib only) so every layer —
@@ -27,16 +24,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SimpleProvider,
     get_registry,
+    to_json,
 )
 from repro.obs.spans import Span, Tracer, set_enabled, span, tracer
-from repro.obs.exposition import (
-    lint_prometheus,
-    parse_prometheus,
-    to_json,
-    to_prometheus,
-)
 from repro.obs.observers import (
     SCENARIO_EXPECTATIONS,
     Anomaly,
@@ -51,20 +42,17 @@ from repro.obs.observers import (
     observe_pipeline_result,
     observe_world,
 )
-from repro.obs.profiler import SamplingProfiler, profiling
-from repro.obs.log import LogRouter, configure, get_logger
-from repro.obs.progress import BuildProgress, Heartbeat, build_progress
+from repro.obs.profiler import SamplingProfiler
+from repro.obs.log import LogRouter, get_logger
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "SimpleProvider",
-    "get_registry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
+    "to_json",
     "Span", "Tracer", "span", "tracer", "set_enabled",
-    "to_prometheus", "to_json", "parse_prometheus", "lint_prometheus",
     "Anomaly", "MassEvent", "RollingBaseline", "SeriesObserver",
     "ObserverSuite", "daily_counts", "default_pipeline_suite",
     "observe_pipeline_result", "observe_world",
     "ScenarioExpectation", "SCENARIO_EXPECTATIONS", "check_expectations",
-    "SamplingProfiler", "profiling",
-    "LogRouter", "configure", "get_logger",
-    "BuildProgress", "Heartbeat", "build_progress",
+    "SamplingProfiler",
+    "LogRouter", "get_logger",
 ]

@@ -13,8 +13,9 @@ schema::
 
 ``span`` / ``trace`` are the correlation ids: the innermost and
 outermost *in-flight* span ids of the process tracer at emit time
-(``null`` outside any span) — so a log line joins the span JSONL
-stream on span id and the phase timeline on trace id.  The keys are
+(``null`` outside any span) — so a log line joins the span records
+(:meth:`~repro.obs.spans.Tracer.export_records`) on span id and the
+phase timeline on trace id.  The keys are
 always present.
 
 Duplicate suppression is rate-limited per ``(logger, level, message)``
@@ -38,7 +39,7 @@ from typing import Callable, Dict, Optional, TextIO, Tuple
 
 from repro.obs.spans import tracer
 
-__all__ = ["LogRouter", "Logger", "get_logger", "router", "configure"]
+__all__ = ["LogRouter", "Logger", "get_logger", "router"]
 
 #: Numeric severities, stdlib-logging compatible.
 LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30,
@@ -187,11 +188,3 @@ def get_logger(name: str) -> Logger:
     """A named logger bound to the process router."""
     return Logger(name, _ROUTER)
 
-
-def configure(json_path=None, level: Optional[str] = None) -> LogRouter:
-    """One-call CLI wiring: attach the JSONL sink, set the level."""
-    if level is not None:
-        _ROUTER.set_level(level)
-    if json_path is not None:
-        _ROUTER.open_json(json_path)
-    return _ROUTER

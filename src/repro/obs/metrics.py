@@ -1,40 +1,35 @@
-"""Metric primitives and the process-wide registry.
+"""Metric primitives, the process-wide registry, and its JSON rendering.
 
 The telemetry layer every subsystem shares: :class:`Counter`,
 :class:`Gauge`, and :class:`Histogram` primitives (with optional label
 dimensions on counters and gauges) plus the :class:`MetricsRegistry`
 that groups them per subsystem.  :func:`get_registry` returns the default
-process-wide registry that exposition (``repro.obs.exposition``), the
-``repro metrics`` CLI command, and ``--metrics-out`` all read.
+process-wide registry that :func:`to_json` renders for the
+``repro metrics`` CLI command and ``--metrics-out``.
 
 Everything here is dependency-free (stdlib only), draws from **no RNG
 stream** (so instrumentation can never perturb a sampled value — the
 ``world_fingerprint`` contract), and snapshots to plain dicts so
 callers can just ``json.dumps`` the result.
 
-A registry *provider* (one registered group) is any object with two
-methods::
-
-    snapshot() -> dict           # JSON-ready view of the group
-    metrics()  -> iterable       # the primitives, for exposition
-
-``ServeMetrics``, ``ScanMetrics``, the resolver-pool gauge adapter,
-the span :class:`~repro.obs.spans.Tracer`, and the standing
-:class:`~repro.obs.observers.ObserverSuite` all satisfy it.
+A registry *provider* (one registered group) is any object with a
+``snapshot() -> dict`` method returning a JSON-ready view of the
+group.  ``ServeMetrics``, ``ScanMetrics``, ``ResolverPoolMetrics``,
+``ResilienceMetrics``, the span :class:`~repro.obs.spans.Tracer`, and
+the standing :class:`~repro.obs.observers.ObserverSuite` all satisfy it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
+    "to_json",
 ]
-
-#: A single exposition sample: (name suffix, label dict, value).
-Sample = Tuple[str, Dict[str, str], float]
 
 
 def _check_labelnames(labelnames: Sequence[str]) -> Tuple[str, ...]:
@@ -59,8 +54,6 @@ class _LabeledMetric:
     """
 
     __slots__ = ("name", "help", "labelnames", "_labelvalues", "_children")
-
-    kind = "untyped"
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()) -> None:
@@ -109,12 +102,9 @@ class _LabeledMetric:
         if self._children is None:
             yield self
         else:
-            # Sorted for stable exposition output, run to run.
+            # Sorted for stable snapshot output, run to run.
             for key in sorted(self._children):
                 yield self._children[key]
-
-    def _label_dict(self) -> Dict[str, str]:
-        return dict(zip(self.labelnames, self._labelvalues))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}({self.name!r})"
@@ -124,8 +114,6 @@ class Counter(_LabeledMetric):
     """A monotonically increasing count, optionally labelled."""
 
     __slots__ = ("value",)
-
-    kind = "counter"
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()) -> None:
@@ -140,29 +128,16 @@ class Counter(_LabeledMetric):
             raise ValueError("counters only go up")
         self.value += amount
 
-    def samples(self) -> Iterator[Sample]:
-        for child in self.children():
-            yield ("", child._label_dict(), child.value)
-
 
 class Gauge(_LabeledMetric):
-    """A value that can go up, down, or be computed at read time.
+    """A value that can go up or down, optionally labelled."""
 
-    ``set_function`` makes the gauge *pull-based*: the callable is
-    evaluated on every sample/snapshot, which is how live fleet state
-    (resolver-pool totals, queue depths) joins the registry without a
-    push call on the hot path.
-    """
-
-    __slots__ = ("_value", "_fn")
-
-    kind = "gauge"
+    __slots__ = ("_value",)
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()) -> None:
         super().__init__(name, help, labelnames)
         self._value = 0.0
-        self._fn = None
 
     def _check_leaf(self) -> None:
         if self._children is not None:
@@ -171,7 +146,6 @@ class Gauge(_LabeledMetric):
     def set(self, value: float) -> None:
         self._check_leaf()
         self._value = value
-        self._fn = None
 
     def inc(self, amount: float = 1) -> None:
         self._check_leaf()
@@ -181,20 +155,11 @@ class Gauge(_LabeledMetric):
         self._check_leaf()
         self._value -= amount
 
-    def set_function(self, fn) -> None:
-        """Evaluate ``fn()`` at every read instead of a stored value."""
-        self._check_leaf()
-        self._fn = fn
-
     @property
     def value(self) -> float:
         if self._children is not None:
             raise ValueError(f"{self.name} is labelled; read a child")
-        return self._fn() if self._fn is not None else self._value
-
-    def samples(self) -> Iterator[Sample]:
-        for child in self.children():
-            yield ("", child._label_dict(), child.value)
+        return self._value
 
 
 class Histogram:
@@ -210,8 +175,6 @@ class Histogram:
     """
 
     DEFAULT_BOUNDS = (1, 10, 60, 300, 900, 3600, 6 * 3600, 24 * 3600)
-
-    kind = "histogram"
 
     __slots__ = ("name", "help", "bounds", "buckets", "count", "total", "max")
 
@@ -269,25 +232,8 @@ class Histogram:
             "max": self.max,
         }
 
-    def samples(self) -> Iterator[Sample]:
-        """Prometheus histogram series: cumulative buckets, sum, count."""
-        cumulative = 0
-        for bound, n in zip(self.bounds, self.buckets):
-            cumulative += n
-            yield ("_bucket", {"le": _format_bound(bound)}, cumulative)
-        yield ("_bucket", {"le": "+Inf"}, self.count)
-        yield ("_sum", {}, self.total)
-        yield ("_count", {}, self.count)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Histogram({self.name!r}, count={self.count})"
-
-
-def _format_bound(bound: float) -> str:
-    """Render a bucket edge the way Prometheus does (no trailing .0)."""
-    if float(bound) == int(bound):
-        return str(int(bound))
-    return repr(float(bound))
 
 
 class MetricsRegistry:
@@ -297,8 +243,7 @@ class MetricsRegistry:
     ``"scan"``, ``"spans"`` ...); re-registering a name *replaces* the
     previous provider, so the registry always reflects the most recent
     subsystem instance (tests and CLI runs construct many servers and
-    engines per process).  :meth:`snapshot` is the JSON view;
-    :meth:`collect` feeds the Prometheus exposition.
+    engines per process).  :meth:`snapshot` is the JSON view.
     """
 
     def __init__(self) -> None:
@@ -308,10 +253,9 @@ class MetricsRegistry:
         """Attach (or replace) one provider under ``group``."""
         if not group:
             raise ValueError("group name must be non-empty")
-        for method in ("snapshot", "metrics"):
-            if not callable(getattr(provider, method, None)):
-                raise TypeError(
-                    f"provider for {group!r} lacks a {method}() method")
+        if not callable(getattr(provider, "snapshot", None)):
+            raise TypeError(
+                f"provider for {group!r} lacks a snapshot() method")
         self._groups[group] = provider
 
     def unregister(self, group: str) -> None:
@@ -324,47 +268,10 @@ class MetricsRegistry:
     def groups(self) -> List[str]:
         return sorted(self._groups)
 
-    def collect(self) -> Iterator[Tuple[str, object]]:
-        """Yield ``(group, metric)`` for every registered primitive."""
-        for group in sorted(self._groups):
-            for metric in self._groups[group].metrics():
-                yield group, metric
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view of every group (stable key order)."""
         return {group: self._groups[group].snapshot()
                 for group in sorted(self._groups)}
-
-
-class SimpleProvider:
-    """A provider over a plain list of primitives.
-
-    The convenience wrapper for ad-hoc groups (benchmarks, examples)
-    that have no subsystem class of their own.
-    """
-
-    def __init__(self, *metrics_) -> None:
-        self._metrics = list(metrics_)
-
-    def add(self, metric):
-        self._metrics.append(metric)
-        return metric
-
-    def metrics(self) -> Iterable:
-        return list(self._metrics)
-
-    def snapshot(self) -> Dict[str, object]:
-        snap: Dict[str, object] = {}
-        for metric in self._metrics:
-            if isinstance(metric, Histogram):
-                snap[metric.name] = metric.snapshot()
-            elif metric.labelnames:
-                snap[metric.name] = {
-                    ",".join(child._labelvalues): child.value
-                    for child in metric.children()}
-            else:
-                snap[metric.name] = metric.value
-        return snap
 
 
 #: The default process-wide registry (created eagerly: it is tiny, and
@@ -375,3 +282,9 @@ _REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry every subsystem registers into."""
     return _REGISTRY
+
+
+def to_json(registry: Optional[MetricsRegistry] = None) -> str:
+    """The registry snapshot as a JSON document (sorted keys)."""
+    registry = registry if registry is not None else get_registry()
+    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)

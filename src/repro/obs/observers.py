@@ -16,8 +16,8 @@ An :class:`ObserverSuite` fans one stream of ``(series, ts, value)``
 points across its observers, collects :class:`Anomaly` records, and
 raises a :class:`MassEvent` when at least ``mass_event_k`` distinct
 series are significant at the same instant (the registration-burst /
-dark-host-spike trigger).  The suite satisfies the registry provider
-protocol, so anomaly counters appear in ``repro metrics`` output.
+dark-host-spike trigger).  The suite is a registry provider, so its
+anomaly and mass-event counts appear in ``repro metrics`` output.
 
 Wired into the pipeline as the optional ``observers=`` hook of
 :class:`~repro.core.pipeline.DarkDNSPipeline`: after step 5 the suite
@@ -35,8 +35,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
-
-from repro.obs.metrics import Counter
 
 __all__ = [
     "Anomaly", "MassEvent", "RollingBaseline", "SeriesObserver",
@@ -201,8 +199,8 @@ class ObserverSuite:
     Series auto-create on first ingest with the suite's default
     detector parameters; :meth:`add_series` pre-declares a series with
     its own thresholds.  The suite is a registry provider (group
-    ``"observers"`` when registered), exposing anomaly and mass-event
-    counters labelled by series and detector kind.
+    ``"observers"`` when registered) whose snapshot reports anomaly and
+    mass-event counts, per-series state and the recent anomalies.
     """
 
     def __init__(self, window: int = 30, sigma_mult: float = 4.0,
@@ -220,11 +218,6 @@ class ObserverSuite:
         self.mass_events: List[MassEvent] = []
         #: Distinct significant series per instant (mass-event input).
         self._significant_at: Dict[int, set] = {}
-        self.anomaly_counter = Counter(
-            "anomalies", "significant observations",
-            labelnames=("series", "kind"))
-        self.mass_event_counter = Counter(
-            "mass_events", "instants with >= k significant series")
 
     # -- series management ------------------------------------------------------
 
@@ -250,9 +243,7 @@ class ObserverSuite:
     def ingest(self, series: str, ts: int, value: float) -> List[Anomaly]:
         """Feed one point; returns (and records) its anomalies."""
         found = self.observer(series).observe(ts, value)
-        for anomaly in found:
-            self.anomalies.append(anomaly)
-            self.anomaly_counter.labels(anomaly.series, anomaly.kind).inc()
+        self.anomalies.extend(found)
         if found:
             significant = self._significant_at.setdefault(ts, set())
             before = len(significant)
@@ -262,7 +253,6 @@ class ObserverSuite:
                     and len(significant) >= self.mass_event_k):
                 event = MassEvent(ts, tuple(sorted(significant)))
                 self.mass_events.append(event)
-                self.mass_event_counter.inc()
         return found
 
     def ingest_series(self, series: str,
@@ -283,9 +273,6 @@ class ObserverSuite:
                        for name, obs in sorted(self.observers.items())},
             "recent": [a.as_dict() for a in self.anomalies[-20:]],
         }
-
-    def metrics(self):
-        return (self.anomaly_counter, self.mass_event_counter)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.spans import Tracer, tracer
 
-__all__ = ["SamplingProfiler", "active", "profiling"]
+__all__ = ["SamplingProfiler", "active"]
 
 #: Phase label for samples taken outside any active span.
 UNATTRIBUTED = "(unattributed)"
@@ -87,8 +86,8 @@ class SamplingProfiler:
     def __init__(self, interval: float = DEFAULT_INTERVAL,
                  trace: Optional[Tracer] = None,
                  thread_ident: Optional[int] = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not interval > 0:        # also rejects NaN
+            raise ValueError(f"interval must be positive: {interval}")
         self.interval = interval
         self._tracer = trace if trace is not None else tracer()
         self._ident = (thread_ident if thread_ident is not None
@@ -211,20 +210,3 @@ def active() -> Optional[SamplingProfiler]:
     """
     return _ACTIVE
 
-
-@contextmanager
-def profiling(path=None, interval: float = SamplingProfiler.DEFAULT_INTERVAL):
-    """Profile the enclosed block; optionally write collapsed stacks.
-
-    >>> with profiling() as prof:       # doctest: +SKIP
-    ...     build_world(config)
-    >>> prof.collapsed()                # doctest: +SKIP
-    """
-    profiler = SamplingProfiler(interval=interval)
-    profiler.start()
-    try:
-        yield profiler
-    finally:
-        profiler.stop()
-        if path is not None:
-            profiler.write_collapsed(path)

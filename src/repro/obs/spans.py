@@ -3,11 +3,10 @@
 ``with span("build.populate_shard", tld="com", month="2023-11"): ...``
 times one phase of a run.  Finished spans accumulate on the process :class:`Tracer` —
 per-phase call counts, wall seconds, annotated sim seconds, error
-counts, and the process peak RSS observed at span exit — and each span
-can also be streamed to a JSONL sink as a structured event.  The
-tracer registers into the default metrics registry as the ``"spans"``
-group, so the registry snapshot (``repro metrics`` / ``--metrics-out``)
-and the Prometheus exposition carry the phase timings for free.
+counts, and the process peak RSS observed at span exit.  The tracer
+registers into the default metrics registry as the ``"spans"`` group,
+so the registry snapshot (``repro metrics`` / ``--metrics-out``)
+carries the phase timings for free.
 
 The canonical phase taxonomy (``build.*``, ``pipeline.*``, ``scan.*``,
 ``serve.*``) is documented in ``docs/observability.md``; CI asserts the
@@ -47,12 +46,10 @@ continuity with earlier baselines.
 
 from __future__ import annotations
 
-import json
 import resource
 import time
 from contextlib import contextmanager
-from functools import wraps
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import Counter, Gauge, get_registry
 
@@ -96,7 +93,7 @@ class Span:
         return self
 
     def as_dict(self) -> Dict[str, object]:
-        """The JSONL event record for this span."""
+        """The plain-dict record for this span (JSON- and pickle-safe)."""
         record: Dict[str, object] = {
             "span": self.name,
             "id": self.span_id,
@@ -158,43 +155,17 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects finished spans and aggregates per-phase totals.
 
-    ``sink`` (a callable taking one dict, or a file path) receives each
-    finished span as a structured event; :meth:`to_jsonl` dumps the
-    retained spans after the fact instead.  The tracer satisfies the
-    registry provider protocol: :meth:`snapshot` is the per-phase
-    totals table and :meth:`metrics` exposes labelled counters/gauges
-    for the Prometheus exposition.
+    The tracer is a registry provider: :meth:`snapshot` is the
+    per-phase totals table.
     """
 
     #: Retained finished spans are capped so a long-lived daemon cannot
     #: grow without bound; aggregates keep counting past the cap.
     MAX_RETAINED = 100_000
 
-    def __init__(self, sink: Union[None, str, Callable] = None,
-                 enabled: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.spans: List[Span] = []
-        self.dropped_spans = 0
-        self._stack: List[Span] = []
-        self._next_id = 0
-        self._sink: Optional[Callable] = None
-        self._sink_file = None
-        if sink is not None:
-            self.attach_sink(sink)
-        self.calls = Counter("span_calls", "phase executions",
-                             labelnames=("phase",))
-        self.wall = Counter("span_wall_seconds", "wall seconds per phase",
-                            labelnames=("phase",))
-        self.errors = Counter("span_errors", "phases that raised",
-                              labelnames=("phase",))
-        self.peak_rss = Gauge("span_peak_rss_kb",
-                              "process peak RSS at phase exit",
-                              labelnames=("phase",))
-        self.rss_growth = Counter(
-            "span_rss_growth_kb",
-            "high-water RSS advance attributed to the phase",
-            labelnames=("phase",))
-        self._sim: Dict[str, int] = {}
+        self.reset()
 
     # -- recording ------------------------------------------------------------
 
@@ -234,18 +205,6 @@ class Tracer:
             self._stack.pop()
             self._finish(current)
 
-    def wrap(self, name: Optional[str] = None, **labels):
-        """Decorator form: ``@tracer.wrap("feed.load")``."""
-        def decorate(fn):
-            phase = name if name is not None else fn.__qualname__
-
-            @wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(phase, **labels):
-                    return fn(*args, **kwargs)
-            return wrapper
-        return decorate
-
     def _finish(self, finished: Span) -> None:
         if len(self.spans) < self.MAX_RETAINED:
             self.spans.append(finished)
@@ -263,8 +222,6 @@ class Tracer:
             self.rss_growth.labels(phase).inc(finished.rss_growth_kb)
         if finished.sim_sec is not None:
             self._sim[phase] = self._sim.get(phase, 0) + finished.sim_sec
-        if self._sink is not None:
-            self._sink(finished.as_dict())
 
     # -- cross-process stitching ----------------------------------------------
 
@@ -298,9 +255,9 @@ class Tracer:
         Ids are remapped onto this tracer's sequential space (foreign
         ids collide with local ones by construction), depths shift
         under the new root, and every adopted span flows through the
-        same aggregate/sink path a locally finished span does — so
-        ``phase_totals()`` and the JSONL sink show true per-shard
-        timings regardless of which process did the work.
+        same aggregate path a locally finished span does — so
+        ``phase_totals()`` shows true per-shard timings regardless of
+        which process did the work.
         """
         if not self.enabled:
             return 0
@@ -326,58 +283,14 @@ class Tracer:
             self._finish(adopted)
         return len(records)
 
-    # -- sinks ----------------------------------------------------------------
-
-    def attach_sink(self, sink: Union[str, Callable]) -> None:
-        """Stream every finished span to ``sink`` as one JSON line.
-
-        A callable receives the span dict; a path opens an append-mode
-        JSONL file (closed by :meth:`close_sink`).
-        """
-        if callable(sink):
-            self._sink = sink
-            return
-        handle = open(sink, "a", encoding="utf-8")
-        self._sink_file = handle
-
-        def write(record: Dict[str, object]) -> None:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-        self._sink = write
-
-    def close_sink(self) -> None:
-        self._sink = None
-        if self._sink_file is not None:
-            self._sink_file.close()
-            self._sink_file = None
-
-    def detach_sink(self) -> None:
-        """Drop the sink *without* closing it.
-
-        The fork-safety half of sink handling: a worker process
-        inherits the parent's sink file handle (and its buffered
-        bytes); closing it would flush duplicated data into the
-        parent's file, so the worker just forgets it.
-        """
-        self._sink = None
-        self._sink_file = None
-
-    def to_jsonl(self, path) -> int:
-        """Write every retained span as JSONL; returns the line count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for finished in self.spans:
-                handle.write(json.dumps(finished.as_dict(),
-                                        sort_keys=True) + "\n")
-        return len(self.spans)
-
     # -- introspection (profiler / log correlation) ---------------------------
 
     def current_span(self) -> Optional[Span]:
         """The innermost in-flight span, or None outside any span.
 
-        Safe to call from another thread (the sampling profiler, the
-        heartbeat): the stack is only ever appended/popped under the
-        GIL, and a torn read degrades to "no span", never a crash.
+        Safe to call from another thread (the sampling profiler): the
+        stack is only ever appended/popped under the GIL, and a torn
+        read degrades to "no span", never a crash.
         """
         try:
             return self._stack[-1]
@@ -415,17 +328,13 @@ class Tracer:
     def snapshot(self) -> Dict[str, object]:
         return self.phase_totals()
 
-    def metrics(self):
-        return (self.calls, self.wall, self.errors, self.peak_rss,
-                self.rss_growth)
-
     def reset(self) -> None:
-        """Drop every retained span and aggregate (sinks stay attached)."""
-        self.spans = []
+        """Drop every retained span and aggregate."""
+        self.spans: List[Span] = []
         self.dropped_spans = 0
-        self._stack = []
+        self._stack: List[Span] = []
         self._next_id = 0
-        self._sim = {}
+        self._sim: Dict[str, int] = {}
         self.calls = Counter("span_calls", "phase executions",
                              labelnames=("phase",))
         self.wall = Counter("span_wall_seconds", "wall seconds per phase",

@@ -7,13 +7,13 @@ quarantine), so this module keeps one process-wide
 :class:`ResilienceMetrics` that every call site shares via
 :func:`get_resilience_metrics`.  The instance self-registers under the
 ``resilience`` group of :func:`repro.obs.metrics.get_registry`, so it
-shows up in ``repro metrics``, ``--metrics-out`` snapshots, and the
-Prometheus exposition alongside every other subsystem.
+shows up in ``repro metrics`` and ``--metrics-out`` snapshots alongside
+every other subsystem.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.obs.metrics import Counter, get_registry
 
@@ -65,18 +65,9 @@ class ResilienceMetrics:
             "resilience_rejected_lines_total",
             "Malformed feed lines quarantined to a .rejects sidecar")
 
-    def metrics(self) -> Iterable:
-        return [
-            self.faults_injected, self.worker_failures,
-            self.serial_fallbacks, self.breaker_transitions,
-            self.breaker_skips, self.torn_lines,
-            self.records_salvaged, self.segments_quarantined,
-            self.shed_clients, self.rejected_lines,
-        ]
-
     def snapshot(self) -> Dict[str, object]:
         snap: Dict[str, object] = {}
-        for metric in self.metrics():
+        for metric in vars(self).values():      # every attribute is a Counter
             if metric.labelnames:
                 snap[metric.name] = {
                     ",".join(child._labelvalues): child.value

@@ -125,8 +125,10 @@ class ScanConfig:
             raise ScanError(f"max_retries must be >= 0: {self.max_retries}")
         if self.retry_backoff <= 0:
             raise ScanError(f"retry_backoff must be positive: {self.retry_backoff}")
-        if self.qps_per_authority is not None and self.qps_per_authority <= 0:
-            raise ScanError("qps_per_authority must be positive")
+        qps = self.qps_per_authority
+        if qps is not None and not (qps > 0 and math.isfinite(qps)):
+            raise ScanError(f"qps_per_authority must be finite and "
+                            f"positive: {qps}")
         if not 0 <= self.jitter < self.probe_interval:
             raise ScanError(f"jitter must lie in [0, interval): "
                             f"{self.jitter} vs {self.probe_interval}")
@@ -227,8 +229,9 @@ class ScanEngine:
             size=self.config.workers,
             max_cache_ttl=self.config.resolver_cache_ttl)
         # Latest engine wins the process-wide groups (registry
-        # semantics); the pool gauges are pull-based, so registering
-        # costs nothing on the probe hot path.
+        # semantics); the pool provider reads the fleet only when the
+        # registry is rendered, so registering costs nothing on the
+        # probe hot path.
         get_registry().register("scan", self.metrics)
         get_registry().register("scan.resolver", ResolverPoolMetrics(self.pool))
         self.scheduler = ProbeScheduler(self.config.probe_interval,

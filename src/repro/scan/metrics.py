@@ -50,13 +50,6 @@ class ScanMetrics:
             "max": hist.max,
         }
 
-    def metrics(self):
-        """The primitives, for registry exposition."""
-        return (self.probes_sent, self.probes_suppressed, self.retries,
-                self.rate_limit_stalls, self.negcache_hits,
-                self.domains_scheduled, self.domains_completed,
-                self.terminated_early, self.probe_lag, self.queue_depth)
-
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready view of every metric."""
         return {

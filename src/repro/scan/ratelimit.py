@@ -44,8 +44,9 @@ class AuthorityRateLimiter:
     """
 
     def __init__(self, qps: Optional[float] = None) -> None:
-        if qps is not None and qps <= 0:
-            raise ScanError(f"authority qps must be positive, got {qps}")
+        if qps is not None and not (qps > 0 and math.isfinite(qps)):
+            raise ScanError(f"authority qps must be finite and positive, "
+                            f"got {qps}")
         self.qps = qps
         self._buckets: Dict[str, TokenBucket] = {}
         # Per-authority (current second, sent this second, max per second):

@@ -35,13 +35,6 @@ class ServeMetrics:
         self.queue_depth = Histogram(
             "queue_depth", bounds=(1, 8, 32, 128, 512, 2048))
 
-    def metrics(self):
-        """The primitives, for registry exposition."""
-        return (self.published, self.delivered, self.dropped_queue_full,
-                self.dropped_rate_limited, self.evicted_clients,
-                self.shed_clients, self.filtered_out, self.delivery_lag,
-                self.queue_depth)
-
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready view of every metric."""
         return {

@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,7 +36,6 @@ from repro.intel.labels import GroundTruth
 from repro.intel.nod import NODFeed
 from repro.obs.log import get_logger
 from repro.obs.profiler import SamplingProfiler, active as profiler_active
-from repro.obs.progress import build_progress
 from repro.obs.spans import Span, span, tracer
 from repro.registry.lifecycle import DomainLifecycle, RemovalReason
 from repro.registry.policy import DEFAULT_POLICIES, policy_for
@@ -662,7 +660,6 @@ def _build_shard_worker(
     """
     config, tld_targets, month, profile_interval = payload
     trace = tracer()
-    trace.detach_sink()   # the inherited sink handle belongs to the parent
     trace.reset()
     tld = tld_targets.tld
     label = f"{tld}:{month}"
@@ -706,8 +703,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
                   settle: Callable[[List[Reuse]], None],
                   cert_events: List[CertEvent],
                   stats: Dict[str, int],
-                  merge_span: Optional[Span] = None,
-                  on_rows: Optional[Callable[[int], None]] = None) -> None:
+                  merge_span: Optional[Span] = None) -> None:
     """Build every ``(tld, month)`` shard in a process pool and merge.
 
     Shard granularity is one gTLD-month: every stream a shard draws
@@ -736,10 +732,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     counts.  Spans are adopted into the parent tracer re-rooted under
     ``merge_span`` with a stable ``worker=N`` label (N = arrival order
     of the worker pid, labels only — never fingerprinted); profile
-    counts fold into the parent's active profiler.  ``on_rows`` is the
-    live-progress hook, called with each merged shard's row count;
-    the ``progress`` gauges additionally expose ``shards done/total``
-    and the longest-in-flight shard label for the heartbeat.
+    counts fold into the parent's active profiler.
 
     Supervision has one recovery path: a shard whose future raises (a
     real worker bug or an injected ``worker.crash``), or that is lost
@@ -778,7 +771,6 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     worker_ids: Dict[int, int] = {}
     metrics = get_resilience_metrics()
     log = get_logger("resilience")
-    progress = build_progress()
 
     months = cal.MONTH_KEYS
     #: Per-TLD merge cursor: index of the month whose shard must merge
@@ -793,18 +785,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
     fallback: Set[ShardKey] = set()
 
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    pending: Dict[object, Tuple[ShardKey, float]] = {}
-
-    progress.set_shards_source(lambda: (len(deferred), len(keys)))
-
-    def _slowest_shard() -> str:
-        entries = list(pending.values())
-        if not entries:
-            return ""
-        key, _t0 = min(entries, key=lambda e: e[1])
-        return shard_label(key)
-
-    progress.set_current_shard_source(_slowest_shard)
+    pending: Dict[object, ShardKey] = {}
 
     def advance_merge() -> None:
         # Apply every applicable shard: per TLD, months strictly in
@@ -816,8 +797,6 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
                 (rows, dirty_ticks, dzdb_rows, reuses, shard_events,
                  shard_stats) = landed.pop(key)
                 registry_tld.register_many(rows, dirty_ticks)
-                if on_rows is not None:
-                    on_rows(len(rows))
                 cert_events.extend(shard_events)
                 deferred[key] = (dzdb_rows, reuses, shard_stats)
                 pos += 1
@@ -841,11 +820,11 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
             future = pool.submit(_build_shard_worker,
                                  (config, targets[key[0]], key[1],
                                   profile_interval))
-            pending[future] = (key, time.monotonic())
+            pending[future] = key
         while pending:
             done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
             for future in done:
-                key = pending.pop(future)[0]
+                key = pending.pop(future)
                 try:
                     result = future.result()
                 except BrokenProcessPool:
@@ -923,11 +902,7 @@ def build_world(config: Optional[ScenarioConfig] = None) -> World:
     """
     with gc_paused():
         with span("build.world") as sp:
-            try:
-                world = _build_world(config)
-            finally:
-                # The progress gauge's source dies with the build.
-                build_progress().clear()
+            world = _build_world(config)
             sp.annotate(sim_sec=world.window.end - world.window.start,
                         registrations=world.stats.get("registrations", 0))
             return world
@@ -1004,32 +979,17 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
     # resulting world is bit-identical (docs/determinism.md).
     n_shards = len(targets) * len(cal.MONTH_KEYS)
     jobs = _resolve_jobs(config.parallel, n_shards)
-    progress = build_progress()
     if jobs > 1:
         # Workers instrument themselves (span + profiler); the parent
         # stitches their records in under this merge span as shards
-        # arrive, and the merged-row count feeds the progress gauge.
-        merged_rows = {"n": 0}
-
-        def _count_rows(n: int) -> None:
-            merged_rows["n"] += n
-
-        progress.set_registrations_source(lambda: merged_rows["n"])
+        # arrive.
         with span("build.merge_shards", jobs=jobs,
                   shards=n_shards) as merge_span:
             _merge_shards(config, targets, jobs, registries, dzdb,
                           settle, cert_events, stats,
                           merge_span=merge_span
-                          if isinstance(merge_span, Span) else None,
-                          on_rows=_count_rows)
+                          if isinstance(merge_span, Span) else None)
     else:
-        # The serial build's stats dict is live (bumped per
-        # registration), so it is the progress source directly.
-        progress.set_registrations_source(
-            lambda: stats["registrations"] + stats["baseline"]
-            + stats["held_domains"])
-        shards_done = {"n": 0}
-        progress.set_shards_source(lambda: (shards_done["n"], n_shards))
         for tld, tld_targets in sorted(targets.items()):
             registry = registries.get(tld)
             for month in cal.MONTH_KEYS:
@@ -1041,7 +1001,6 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
                                     cert_events, stats)
                     sp.annotate(nrd=tld_targets.monthly_nrd.get(month, 0))
                 settle(reuses)
-                shards_done["n"] += 1
 
     # --- ccTLD population (the §4.4b ground-truth registry) ------------------------
     if cctld_tld is not None:

@@ -112,6 +112,75 @@ class TestCLI:
         assert snap["published"] > 50 and snap["delivered"] > 0
 
 
+PIPELINE_SPANS = {"pipeline.ct_detect", "pipeline.rdap_collect",
+                  "pipeline.monitor", "pipeline.validate",
+                  "pipeline.transient_classify"}
+
+
+class TestCLITelemetry:
+    """The JSON telemetry path and the process-global settings the obs
+    flags touch (the log router's level and sink)."""
+
+    def test_metrics_out_log_json_and_metrics_command(self, tmp_path, capsys):
+        from repro.obs.log import router
+        level = router().level
+        metrics_out = tmp_path / "metrics.json"
+        quiet_log = tmp_path / "quiet.jsonl"
+        rc = main(["reproduce", "--scale", "5000", "--no-cctld", "--quiet",
+                   "--metrics-out", str(metrics_out),
+                   "--log-json", str(quiet_log)])
+        assert rc == 0
+        assert router().level == level          # --quiet undone
+        err = capsys.readouterr().err
+        # Info events render as the bare message; under --quiet only
+        # labelled warning/error lines may reach stderr.
+        assert all(line.startswith(("warning:", "error:"))
+                   for line in err.splitlines()), err
+        quiet_records = [json.loads(line)
+                         for line in quiet_log.read_text().splitlines()]
+        assert all(r["level"] != "info" for r in quiet_records)
+        snap = json.loads(metrics_out.read_text())
+        assert PIPELINE_SPANS <= set(snap["spans"])
+        assert "progress" not in snap
+
+        loud_log = tmp_path / "loud.jsonl"
+        assert main(["reproduce", "--scale", "5000", "--no-cctld",
+                     "--log-json", str(loud_log)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line)
+                   for line in loud_log.read_text().splitlines()]
+        assert any(r["level"] == "info" for r in records)
+        assert all("span" in r and "trace" in r for r in records)
+
+        assert main(["metrics", "--scale", "5000", "--no-cctld"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == set(snap)
+        assert PIPELINE_SPANS <= set(printed["spans"])
+
+    def test_quiet_level_restored_when_log_json_open_fails(self, tmp_path,
+                                                           capsys):
+        from repro.obs.log import router
+        level = router().level
+        rc = main(["reproduce", "--scale", "5000", "--no-cctld", "--quiet",
+                   "--log-json", str(tmp_path / "missing" / "x.jsonl")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert router().level == level
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("scan", "--qps"),
+        ("reproduce", "--profile-interval"),
+    ])
+    def test_non_finite_numbers_exit_2(self, command, flag, value, capsys):
+        # "--flag=-inf": a bare "-inf" argument would parse as an option.
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", "--scale", "5000",
+                  "--no-cctld"])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("script", [
     "quickstart.py",
     "rapid_zone_updates.py",

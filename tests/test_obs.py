@@ -1,10 +1,10 @@
 """Tests for the unified telemetry layer (repro.obs).
 
 Covers the metric primitives and quantile edge cases (with property
-tests), span nesting and exception paths, the Prometheus exposition
-escaping/parse round-trip and lint, the standing observers (quiet on
-the default world, firing on a registration burst), and the resolver
-stats-reset semantics the registry gauges depend on.
+tests), the registry and its JSON rendering, span nesting and exception
+paths, the standing observers (quiet on the default world, firing on a
+registration burst), and the resolver stats-reset semantics the
+``scan.resolver`` snapshot depends on.
 """
 
 import json
@@ -23,19 +23,14 @@ from repro.obs import (
     ObserverSuite,
     RollingBaseline,
     SeriesObserver,
-    SimpleProvider,
     Tracer,
     daily_counts,
     default_pipeline_suite,
     get_registry,
-    lint_prometheus,
     observe_pipeline_result,
-    parse_prometheus,
     to_json,
-    to_prometheus,
     tracer,
 )
-from repro.obs.exposition import escape_label_value, unescape_label_value
 from repro.obs.observers import (
     SCENARIO_EXPECTATIONS,
     check_expectations,
@@ -102,17 +97,6 @@ class TestGauge:
         g.inc(5)
         g.dec(2)
         assert g.value == 13
-
-    def test_pull_gauge_reads_live_state(self):
-        state = {"n": 1}
-        g = Gauge("live")
-        g.set_function(lambda: state["n"])
-        assert g.value == 1
-        state["n"] = 7
-        assert g.value == 7
-        g.set(0)                       # an explicit set drops the function
-        state["n"] = 99
-        assert g.value == 0
 
     def test_labelled_parent_holds_no_value(self):
         g = Gauge("fleet", labelnames=("stat",))
@@ -206,23 +190,30 @@ class TestHistogramQuantile:
 # Registry
 # --------------------------------------------------------------------------
 
+class _Provider:
+    """The smallest registry provider: a fixed snapshot."""
+
+    def __init__(self, **snap) -> None:
+        self._snap = snap
+
+    def snapshot(self):
+        return dict(self._snap)
+
+
 class TestRegistry:
 
-    def test_register_snapshot_collect(self):
+    def test_register_snapshot(self):
         registry = MetricsRegistry()
-        c = Counter("hits", "hits total")
-        c.inc(2)
-        registry.register("demo", SimpleProvider(c))
-        assert registry.groups() == ["demo"]
-        assert registry.snapshot() == {"demo": {"hits": 2}}
-        assert [(g, m.name) for g, m in registry.collect()] == [("demo", "hits")]
+        registry.register("demo", _Provider(hits=2))
+        registry.register("alpha", _Provider())
+        assert registry.groups() == ["alpha", "demo"]
+        assert registry.snapshot() == {"alpha": {}, "demo": {"hits": 2}}
+        assert list(registry.snapshot()) == ["alpha", "demo"]
 
     def test_reregistering_replaces_the_provider(self):
         registry = MetricsRegistry()
-        first, second = Counter("hits"), Counter("hits")
-        second.inc(9)
-        registry.register("demo", SimpleProvider(first))
-        registry.register("demo", SimpleProvider(second))
+        registry.register("demo", _Provider(hits=0))
+        registry.register("demo", _Provider(hits=9))
         assert registry.snapshot() == {"demo": {"hits": 9}}
         assert registry.groups() == ["demo"]
 
@@ -231,29 +222,28 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.register("demo", object())
         with pytest.raises(ValueError):
-            registry.register("", SimpleProvider())
+            registry.register("", _Provider())
 
     def test_unregister(self):
         registry = MetricsRegistry()
-        registry.register("demo", SimpleProvider())
+        registry.register("demo", _Provider())
         registry.unregister("demo")
         registry.unregister("demo")        # idempotent
         assert registry.groups() == []
         assert registry.group("demo") is None
 
-    def test_simple_provider_snapshot_shapes(self):
-        hist = Histogram("lag", bounds=(1, 10))
-        hist.observe(4)
-        labelled = Counter("probes", labelnames=("tld",))
-        labelled.labels("com").inc(2)
-        plain = Counter("hits")
-        snap = SimpleProvider(hist, labelled, plain).snapshot()
-        assert snap["lag"]["count"] == 1
-        assert snap["probes"] == {"com": 2}
-        assert snap["hits"] == 0
-
     def test_process_registry_carries_the_span_tracer(self):
         assert get_registry().group("spans") is tracer()
+
+    def test_to_json_renders_the_registry_snapshot(self):
+        registry = MetricsRegistry()
+        registry.register("demo", _Provider(b=1, a=[2]))
+        text = to_json(registry)
+        assert json.loads(text) == registry.snapshot()
+        assert text.index('"a"') < text.index('"b"')      # sorted keys
+        with tracer().span("test.to_json"):
+            pass
+        assert "test.to_json" in json.loads(to_json())["spans"]
 
 
 # --------------------------------------------------------------------------
@@ -335,37 +325,6 @@ class TestSpans:
         assert t.spans == []
         assert t.phase_totals() == {}
 
-    def test_callable_sink_streams_events(self):
-        events = []
-        t = Tracer(sink=events.append)
-        with t.span("p"):
-            pass
-        assert len(events) == 1 and events[0]["span"] == "p"
-
-    def test_path_sink_and_to_jsonl(self, tmp_path):
-        live = tmp_path / "live.jsonl"
-        t = Tracer(sink=str(live))
-        with t.span("a"):
-            with t.span("b"):
-                pass
-        t.close_sink()
-        streamed = [json.loads(line) for line in live.read_text().splitlines()]
-        assert [e["span"] for e in streamed] == ["b", "a"]
-        dumped = tmp_path / "dump.jsonl"
-        assert t.to_jsonl(dumped) == 2
-        assert streamed == [json.loads(line)
-                            for line in dumped.read_text().splitlines()]
-
-    def test_wrap_decorator(self):
-        t = Tracer()
-
-        @t.wrap("feed.load")
-        def load():
-            return 42
-
-        assert load() == 42
-        assert t.phase_totals()["feed.load"]["count"] == 1
-
     def test_reset_clears_everything(self):
         t = Tracer()
         with t.span("p"):
@@ -381,104 +340,10 @@ class TestSpans:
         with t.span("p"):
             pass
         assert t.snapshot() == t.phase_totals()
-        assert {m.name for m in t.metrics()} == {
-            "span_calls", "span_wall_seconds", "span_errors",
-            "span_peak_rss_kb", "span_rss_growth_kb"}
+        assert set(t.snapshot()["p"]) == {
+            "count", "wall_sec", "peak_rss_kb", "rss_growth_kb"}
         assert t.spans[0].peak_rss_kb > 0
         assert t.spans[0].wall_sec >= 0.0
-
-
-# --------------------------------------------------------------------------
-# Exposition: escaping, round-trip, lint
-# --------------------------------------------------------------------------
-
-#: Label values mixing benign text with the three escaped characters.
-_label_values = st.tuples(
-    st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs")),
-            max_size=20),
-    st.sampled_from(["", '"', "\\", "\n", '\\n"', 'a\\"b', "\n\n\\"]),
-).map("".join)
-
-
-class TestExposition:
-
-    def test_escape_explicit(self):
-        assert escape_label_value('a"b\nc\\d') == 'a\\"b\\nc\\\\d'
-        assert unescape_label_value('a\\"b\\nc\\\\d') == 'a"b\nc\\d'
-
-    @given(st.text(max_size=60))
-    @settings(max_examples=150, deadline=None)
-    def test_escape_round_trip(self, value):
-        assert unescape_label_value(escape_label_value(value)) == value
-
-    @given(_label_values)
-    @settings(max_examples=100, deadline=None)
-    def test_exposition_parse_round_trip(self, value):
-        c = Counter("probes", "probes sent", labelnames=("tld",))
-        c.labels(value).inc(3)
-        registry = MetricsRegistry()
-        registry.register("demo", SimpleProvider(c))
-        text = to_prometheus(registry)
-        assert lint_prometheus(text) == []
-        families = parse_prometheus(text)
-        ((name, labels, sampled),) = families["repro_demo_probes"]["samples"]
-        assert name == "repro_demo_probes"
-        assert labels == {"tld": value}
-        assert sampled == 3
-
-    def test_histogram_exposition_lints_clean(self):
-        h = Histogram("lag", bounds=(1, 10, 60), help="probe lag")
-        for value in (0.5, 2, 30, 200):
-            h.observe(value)
-        registry = MetricsRegistry()
-        registry.register("scan", SimpleProvider(h))
-        text = to_prometheus(registry)
-        assert lint_prometheus(text) == []
-        samples = parse_prometheus(text)["repro_scan_lag"]["samples"]
-        buckets = [(labels["le"], value) for name, labels, value in samples
-                   if name.endswith("_bucket")]
-        assert buckets == [("1", 1), ("10", 2), ("60", 3), ("+Inf", 4)]
-        by_name = {name: value for name, labels, value in samples
-                   if not name.endswith("_bucket")}
-        assert by_name["repro_scan_lag_count"] == 4
-        assert by_name["repro_scan_lag_sum"] == pytest.approx(232.5)
-
-    def test_metric_names_sanitized(self):
-        c = Counter("weird.name-1")
-        registry = MetricsRegistry()
-        registry.register("my group", SimpleProvider(c))
-        text = to_prometheus(registry)
-        assert "repro_my_group_weird_name_1 0" in text
-        assert lint_prometheus(text) == []
-
-    def test_lint_catches_format_violations(self):
-        assert lint_prometheus("what is this\n")          # unparseable
-        assert lint_prometheus("orphan 1\n") == [
-            "sample orphan before its # TYPE line",
-            "orphan: no # TYPE line"]
-        assert lint_prometheus(
-            "# TYPE m wat\nm 1\n") == ["m: unknown type 'wat'"]
-        assert lint_prometheus(
-            "# TYPE m counter\nm 1\nm 1\n") == ["m: duplicate sample {}"]
-        broken_hist = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'     # not monotone
-            "h_sum 9\n"
-            "h_count 3\n")
-        assert lint_prometheus(broken_hist) == ["h: bucket counts not monotone"]
-        no_sum = ("# TYPE h histogram\n"
-                  'h_bucket{le="+Inf"} 3\n'
-                  "h_count 3\n")
-        assert lint_prometheus(no_sum) == ["h: missing h_sum"]
-
-    def test_global_registry_exposition_lints_clean(self):
-        with tracer().span("test.lint"):
-            pass
-        text = to_prometheus()
-        assert lint_prometheus(text) == []
-        snap = json.loads(to_json())
-        assert "spans" in snap
 
 
 # --------------------------------------------------------------------------
@@ -591,14 +456,7 @@ class TestObserverSuite:
         assert suite.mass_events[0].series == ("a", "b")
         assert self._quiet_then_burst(suite, "c", burst_ts)
         assert len(suite.mass_events) == 1     # the k-th join already fired
-        assert int(suite.mass_event_counter.value) == 1
-
-    def test_anomaly_counter_labelled_by_series_and_kind(self):
-        suite = ObserverSuite(min_points=7)
-        self._quiet_then_burst(suite, "a", 10 * _DAY)
-        labelled = {child._labelvalues: child.value
-                    for child in suite.anomaly_counter.children()}
-        assert labelled == {("a", "zscore"): 1, ("a", "step"): 1}
+        assert suite.snapshot()["mass_events"] == 1
 
     def test_add_series_overrides_and_duplicates(self):
         suite = ObserverSuite(sigma_mult=4.0)
@@ -615,11 +473,11 @@ class TestObserverSuite:
         snap = suite.snapshot()
         assert snap["anomalies"] == 2 and snap["mass_events"] == 0
         assert snap["series"]["a"]["points"] == 11
-        assert len(snap["recent"]) == 2
-        assert {m.name for m in suite.metrics()} == {"anomalies", "mass_events"}
+        assert [(a["series"], a["kind"]) for a in snap["recent"]] == [
+            ("a", "zscore"), ("a", "step")]
         registry = MetricsRegistry()
         registry.register("observers", suite)
-        assert lint_prometheus(to_prometheus(registry)) == []
+        assert json.loads(to_json(registry)) == {"observers": snap}
 
 
 class TestDailyCounts:
@@ -812,7 +670,7 @@ class TestScenarioExpectations:
 
 
 # --------------------------------------------------------------------------
-# Resolver fleet stats: reset without double-counting + pull gauges
+# Resolver fleet stats: reset without double-counting + the pool snapshot
 # --------------------------------------------------------------------------
 
 class TestResolverStatsReset:
@@ -853,16 +711,13 @@ class TestResolverStatsReset:
         pool = ResolverPool(size=3)
         metrics = ResolverPoolMetrics(pool)
         assert metrics.snapshot()["pool_size"] == 3
-        assert metrics.fleet.labels("queries").value == 0
+        assert metrics.snapshot()["queries"] == 0
         self._bump(pool.resolvers[0], 8)
-        # No push happened: the gauge reads the pool at access time.
-        assert metrics.fleet.labels("queries").value == 8
+        # No push happened: the snapshot reads the pool at render time.
+        assert metrics.snapshot()["queries"] == 8
         pool.reset_stats()
-        assert metrics.fleet.labels("queries").value == 8
+        assert metrics.snapshot()["queries"] == 8
         assert metrics.snapshot()["cache_hits"] == 4
-        registry = MetricsRegistry()
-        registry.register("scan.resolver", metrics)
-        assert lint_prometheus(to_prometheus(registry)) == []
 
 
 # --------------------------------------------------------------------------
@@ -872,13 +727,15 @@ class TestResolverStatsReset:
 class TestAdaptersAndDeterminism:
 
     def test_adapters_satisfy_the_provider_protocol(self):
+        from repro.resilience.metrics import ResilienceMetrics
         from repro.scan.metrics import ScanMetrics
         from repro.serve.metrics import ServeMetrics
-        for provider in (ScanMetrics(), ServeMetrics()):
+        for provider in (ScanMetrics(), ServeMetrics(), ResilienceMetrics(),
+                         ResolverPoolMetrics(ResolverPool(size=1))):
             registry = MetricsRegistry()
             registry.register("x", provider)
             assert isinstance(provider.snapshot(), dict)
-            assert lint_prometheus(to_prometheus(registry)) == []
+            assert json.loads(to_json(registry)) == {"x": provider.snapshot()}
 
     def test_fingerprint_identical_with_tracing_disabled(self, tiny_world):
         """Instrumentation must never perturb a sampled value."""
@@ -935,15 +792,15 @@ class TestSpanStitching:
         assert populate.labels == {"tld": "com", "worker": "1"}
         assert populate.annotations == {"nrd": 120}
 
-    def test_adopted_spans_feed_aggregates_and_sink(self):
+    def test_adopted_spans_feed_aggregates(self):
         records = self._worker_records()
-        events = []
-        t = Tracer(sink=events.append)
+        t = Tracer()
         t.adopt_spans(records, worker=0)
         totals = t.phase_totals()
         assert totals["build.populate_tld"]["count"] == 1
         assert totals["inner"]["count"] == 1
-        assert [e["span"] for e in events] == ["inner", "build.populate_tld"]
+        assert ([r["span"] for r in t.export_records()]
+                == ["inner", "build.populate_tld"])
 
     def test_adopt_without_parent_keeps_roots(self):
         records = self._worker_records()
@@ -983,15 +840,6 @@ class TestSpanStitching:
         totals = t.phase_totals()
         assert totals["grew"]["rss_growth_kb"] == 500
         assert totals["flat"]["rss_growth_kb"] == 0
-
-    def test_detach_sink_drops_without_closing(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        t = Tracer(sink=str(path))
-        handle = t._sink_file
-        t.detach_sink()
-        assert t._sink is None and t._sink_file is None
-        assert not handle.closed   # the parent still owns the handle
-        handle.close()
 
 
 # --------------------------------------------------------------------------
@@ -1051,22 +899,30 @@ class TestSamplingProfiler:
         assert not prof.running
 
     def test_exception_during_profiled_phase(self, tmp_path):
-        from repro.obs.profiler import profiling
-        t = tracer()
+        """The CLI's --profile-out wiring stops the profiler when the
+        command raises, and writes no stacks for the failed run."""
+        import argparse
+        from repro.cli import _instrumented
+        from repro.obs.profiler import active
         out = tmp_path / "prof.txt"
+        args = argparse.Namespace(quiet=False, log_json=None,
+                                  profile_out=str(out),
+                                  profile_interval=0.001)
         with pytest.raises(ValueError):
-            with profiling(path=str(out), interval=0.001) as prof:
-                self._spin(t, seconds=0.03)
+            with _instrumented(args):
+                prof = active()
+                assert prof is not None and prof.running
+                self._spin(tracer(), seconds=0.03)
                 raise ValueError("boom")
         assert not prof.running          # stopped despite the raise
-        assert out.exists()              # collapsed stacks still written
-        if prof.samples:
-            assert out.read_text().strip()
+        assert active() is None
+        assert not out.exists()
 
     def test_invalid_interval_rejected(self):
         from repro.obs.profiler import SamplingProfiler
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval=0)
+        for interval in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SamplingProfiler(interval=interval)
 
     def test_merge_counts_and_collapsed_format(self):
         from repro.obs.profiler import SamplingProfiler
@@ -1199,18 +1055,19 @@ class TestLogRouter:
         assert "repeats" not in records[0]
         assert records[1]["repeats"] == 1
 
-    def test_logger_facade_and_configure(self, tmp_path, capsys):
-        from repro.obs.log import configure, get_logger, router as router_fn
+    def test_logger_facade(self, tmp_path, capsys):
+        from repro.obs.log import get_logger, router as router_fn
         path = tmp_path / "log.jsonl"
         shared = router_fn()
         prev_level = shared.level
         try:
-            configure(json_path=path, level="debug")
+            shared.set_level("debug")
+            shared.open_json(path)
             log = get_logger("t.facade")
             assert log.debug("dbg", k=1)
             assert log.info("inf")
         finally:
-            configure(level=prev_level)
+            shared.set_level(prev_level)
             shared.close_json()
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
@@ -1228,113 +1085,3 @@ class TestLogRouter:
         assert feed.load_errors == 1
         err = capsys.readouterr().err
         assert "warning" in err and "1 malformed" in err
-
-
-# --------------------------------------------------------------------------
-# Live progress: pull gauges + heartbeat
-# --------------------------------------------------------------------------
-
-class TestBuildProgress:
-
-    def test_current_rss_is_positive(self):
-        from repro.obs.progress import current_rss_kb
-        assert current_rss_kb() > 0
-
-    def test_source_set_read_clear(self):
-        from repro.obs.progress import BuildProgress
-        progress = BuildProgress()
-        assert progress.snapshot()["registrations"] == 0
-        live = {"n": 0}
-        progress.set_registrations_source(lambda: live["n"])
-        live["n"] = 42
-        assert progress.snapshot()["registrations"] == 42
-        progress.clear()
-        assert progress.snapshot()["registrations"] == 0
-
-    def test_dying_source_reads_zero(self):
-        from repro.obs.progress import BuildProgress
-        progress = BuildProgress()
-        progress.set_registrations_source(
-            lambda: (_ for _ in ()).throw(RuntimeError("gone")))
-        assert progress.snapshot()["registrations"] == 0
-
-    def test_registered_as_progress_group(self):
-        from repro.obs.progress import build_progress
-        assert get_registry().group("progress") is build_progress()
-        snap = build_progress().snapshot()
-        assert snap["rss_kb"] > 0
-
-    def test_gauge_cleared_after_build(self, tiny_world):
-        # Any built world must leave the gauge unsourced.
-        from repro.obs.progress import build_progress
-        assert build_progress()._source is None
-
-
-class TestHeartbeat:
-
-    @staticmethod
-    def _beat(**kw):
-        import io
-        from repro.obs.progress import Heartbeat
-        stream = io.StringIO()
-        clock = {"now": 0.0}
-        beat = Heartbeat(stream=stream, clock=lambda: clock["now"], **kw)
-        return beat, stream, clock
-
-    def test_wanted_requires_tty_and_not_quiet(self):
-        import io
-        from repro.obs.progress import Heartbeat
-
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
-        assert Heartbeat.wanted(stream=Tty())
-        assert not Heartbeat.wanted(stream=Tty(), quiet=True)
-        assert not Heartbeat.wanted(stream=io.StringIO())
-
-    def test_render_line_idle(self):
-        beat, _, clock = self._beat()
-        clock["now"] = 65.0
-        line = beat.render_line()
-        assert line.startswith("[1:05] idle")
-        assert "rss=" in line
-
-    def test_render_line_active_phase_and_registrations(self):
-        from repro.obs.progress import build_progress
-        beat, _, _ = self._beat()
-        progress = build_progress()
-        progress.set_registrations_source(lambda: 34_016)
-        try:
-            with tracer().span("build.populate_tld", tld="com"):
-                line = beat.render_line()
-        finally:
-            progress.clear()
-        assert "build.populate_tld{tld=com}" in line
-        assert "regs=34,016" in line
-
-    def test_thread_writes_lines(self):
-        beat, stream, _ = self._beat(interval=0.01)
-        import time as _time
-        beat.start()
-        try:
-            deadline = _time.monotonic() + 2.0
-            while beat.lines == 0 and _time.monotonic() < deadline:
-                _time.sleep(0.01)
-        finally:
-            beat.stop()
-        assert beat.lines > 0
-        assert stream.getvalue().count("\n") == beat.lines
-
-    def test_start_stop_idempotent(self):
-        beat, _, _ = self._beat(interval=60.0)
-        beat.start()
-        thread = beat._thread
-        assert beat.start() is beat and beat._thread is thread
-        beat.stop()
-        assert beat.stop() is beat and not beat.running
-
-    def test_invalid_interval_rejected(self):
-        from repro.obs.progress import Heartbeat
-        with pytest.raises(ValueError):
-            Heartbeat(interval=0)

@@ -269,8 +269,9 @@ class TestRateLimiting:
         assert limiter.max_sent_per_second() == {"com": 2}
 
     def test_limiter_rejects_bad_qps(self):
-        with pytest.raises(ScanError):
-            AuthorityRateLimiter(qps=0)
+        for qps in (0, float("nan"), float("inf")):
+            with pytest.raises(ScanError):
+                AuthorityRateLimiter(qps=qps)
 
     def test_starvation_fairness_under_tight_budget(self):
         """A congested authority throttles without starving anyone: every
@@ -424,8 +425,9 @@ class TestEngineBehaviour:
     def test_config_validation(self):
         with pytest.raises(ScanError):
             ScanConfig(workers=0)
-        with pytest.raises(ScanError):
-            ScanConfig(qps_per_authority=-1)
+        for qps in (-1, 0, float("nan"), float("inf")):
+            with pytest.raises(ScanError):
+                ScanConfig(qps_per_authority=qps)
         with pytest.raises(ScanError):
             ScanConfig(probe_budget=0)
         with pytest.raises(ScanError):
