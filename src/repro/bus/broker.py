@@ -16,20 +16,19 @@ from heapq import merge as _heap_merge
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BusError, OffsetError, UnknownTopicError
-from repro.heap import FrozenSlots
+from repro.heap import frozen_slots
 from repro.simtime.rng import stable_bucket
 
 
+@frozen_slots
 @dataclass(frozen=True)
-class Message(FrozenSlots):
+class Message:
     """One record on a topic partition.
 
     Built on demand by :class:`Partition` for the reader or producer
     that asks for one; slotted so that building one allocates no
-    per-instance ``__dict__`` (see :class:`~repro.heap.FrozenSlots`).
+    per-instance ``__dict__`` (see :func:`~repro.heap.frozen_slots`).
     """
-
-    __slots__ = ("topic", "partition", "offset", "timestamp", "key", "value")
 
     topic: str
     partition: int

@@ -9,17 +9,20 @@ records with JSONL round-tripping so downstream users can replay it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.records import Candidate
+from repro.heap import frozen_slots
 from repro.obs.log import get_logger
 from repro.simtime.clock import DAY, day_floor, isoformat
 
 log = get_logger("core.feed")
 
 
+@frozen_slots
 @dataclass(frozen=True)
 class FeedRecord:
     """One message on the public feed."""
@@ -41,10 +44,26 @@ class FeedRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "FeedRecord":
+        """Parse one feed line.
+
+        Raises ValueError, KeyError or TypeError for a line that is not
+        a record: a missing field, a ``domain``, ``tld`` or ``source``
+        that is not a string, or a ``seen_at`` that is not a finite
+        whole number (JSON admits ``Infinity`` and ``1e400``, a bool is
+        an int).
+        """
         payload = json.loads(line)
-        return cls(domain=payload["domain"], tld=payload["tld"],
-                   seen_at=int(payload["seen_at"]),
-                   source=payload.get("source", "ct"))
+        domain, tld = payload["domain"], payload["tld"]
+        source = payload.get("source", "ct")
+        if not all(isinstance(text, str) for text in (domain, tld, source)):
+            raise TypeError("domain, tld and source must be strings")
+        seen_at = payload["seen_at"]
+        if isinstance(seen_at, bool) or not isinstance(seen_at, (int, float)):
+            raise TypeError(f"seen_at must be a number: {seen_at!r}")
+        if not (math.isfinite(seen_at) and seen_at == int(seen_at)):
+            raise ValueError(f"seen_at must be a whole number: {seen_at!r}")
+        return cls(domain=domain, tld=tld, seen_at=int(seen_at),
+                   source=source)
 
 
 def read_jsonl_records(path: Path,

@@ -48,7 +48,11 @@ class DVToken:
 
 
 class IssuanceRecord:
-    """Audit trail of one issuance (used by tests and the DV ablation)."""
+    """Audit trail of one issuance, returned to the requester.
+
+    The CA keeps no copy: the certificates themselves live in the CT
+    logs, and a copy per issuance would grow with the world.
+    """
 
     __slots__ = ("certificate", "requested_at", "issued_at",
                  "fresh_validation", "log_entries")
@@ -86,7 +90,6 @@ class CertificateAuthority:
         self.validation_delay = validation_delay
         self.log_submission_delay = log_submission_delay
         self._tokens: Dict[str, DVToken] = {}
-        self.issued: List[IssuanceRecord] = []
         self.rejections = 0
 
     # -- DV token management ------------------------------------------------------
@@ -145,13 +148,11 @@ class CertificateAuthority:
         entries = tuple(
             log.submit(certificate, issued_at + self.log_submission_delay)
             for log in self.logs)
-        record = IssuanceRecord(certificate=certificate,
-                                requested_at=requested_at,
-                                issued_at=issued_at,
-                                fresh_validation=fresh,
-                                log_entries=entries)
-        self.issued.append(record)
-        return record
+        return IssuanceRecord(certificate=certificate,
+                              requested_at=requested_at,
+                              issued_at=issued_at,
+                              fresh_validation=fresh,
+                              log_entries=entries)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ class Certificate:
         seen = set()
         for raw in (self.common_name, *self.sans):
             if type(raw) is Name:
-                # Pre-interned at generation: stripping is a slot read.
+                # Pre-interned at generation: stripping a non-wildcard
+                # name is one prefix test.
                 name = raw.stripped()
             else:
                 try:

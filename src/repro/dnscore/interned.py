@@ -10,13 +10,13 @@ across every layer instead of another point cache:
 * :class:`Name` — an immutable, ``__slots__``-based :class:`str`
   subclass.  Being a ``str`` means a ``Name`` flows through every
   existing API unchanged (dict keys, ``join``, sorting, formatting,
-  fingerprinting are all bit-identical), while the extra slots cache
+  fingerprinting are all bit-identical), while four extra slots cache
   the derived facts every layer asks for: the TLD (one shared string
-  per TLD), the wildcard-stripped form, and — lazily, keyed per PSL —
-  the registrable domain.  The registrable cache is what bounds the
-  PSL work: one suffix match per (name, PSL) for the process
-  lifetime.  Labels are *not* retained; the rare callers that need
-  them split on the spot.
+  per TLD) and — lazily, keyed by PSL — the registrable domain.  The
+  registrable cache is what bounds the PSL work: one suffix match per
+  (name, PSL) for the process lifetime of a single-PSL run.  Labels
+  and the wildcard-stripped form are *not* retained; the rare callers
+  that need them derive them on the spot.
 * :class:`NameTable` — the process interner that replaces the old
   ``normalize`` lru_cache.  Canonical names are interned forever
   (never evicted mid-run; a run's working set *is* the world's name
@@ -78,9 +78,7 @@ class Name(str):
     equal-by-construction values (the lazy caches).
     """
 
-    __slots__ = ("tld", "_stripped",
-                 "_psl_ref", "_psl_version", "_registrable",
-                 "_psl_ref2", "_psl_version2", "_registrable2")
+    __slots__ = ("tld", "_psl_ref", "_psl_version", "_registrable")
 
     #: Interner entry point, attached below (`Name.of("Ex.COM.")`).
     of = None  # type: ignore[assignment]
@@ -110,13 +108,15 @@ class Name(str):
         return str.startswith(self, "*.")
 
     def stripped(self) -> "Name":
-        """This name without a leading ``*.`` wildcard label."""
-        stripped = self._stripped
-        if stripped is None:
-            stripped = (intern_name(str.__getitem__(self, slice(2, None)))
-                        if str.startswith(self, "*.") else self)
-            self._stripped = stripped
-        return stripped
+        """This name without a leading ``*.`` wildcard label.
+
+        Derived per call: wildcard names are rare (certificate SANs
+        only), so a slot caching the answer on every name costs more
+        than the one interner lookup it saves.
+        """
+        if str.startswith(self, "*."):
+            return intern_name(str.__getitem__(self, slice(2, None)))
+        return self
 
     def parent_name(self) -> "Name":
         """Immediate parent as an interned name; the root's is the root."""
@@ -134,29 +134,16 @@ class Name(str):
             None when this name *is* a public suffix (or the root) —
             the pipeline treats that as a discard.
 
-        The result is cached on the name in **two slots**, each keyed
-        by (PSL instance, rule ``version``) with most-recently-used
-        promotion: a single-PSL workload (the whole pipeline) hits the
-        first slot with zero extra cost, and a workload that
-        *alternates* two PSL instances over the same names — an
-        ablation comparing rule sets per event — hits the second
-        instead of recomputing per switch.  Each distinct (name, rule
-        set) pair therefore costs one suffix match per process.
-        Wildcard names delegate to (and share the cache of) their
-        stripped form.
+        The result is cached on the name in **one entry** keyed by
+        (PSL instance, rule ``version``): a single-PSL workload (the
+        whole pipeline, every benchmark and example) computes each name
+        once per process, and a lookup under another PSL, or after a
+        rule change, recomputes and replaces the entry.  Wildcard names
+        delegate to (and share the cache of) their stripped form.
         """
         if self._psl_ref is psl and self._psl_version == psl.version:
             return self._registrable
-        if self._psl_ref2 is psl and self._psl_version2 == psl.version:
-            # MRU promotion: swap the slots so an alternating two-PSL
-            # workload keeps hitting without ever recomputing.
-            self._psl_ref, self._psl_ref2 = psl, self._psl_ref
-            self._psl_version, self._psl_version2 = (
-                self._psl_version2, self._psl_version)
-            self._registrable, self._registrable2 = (
-                self._registrable2, self._registrable)
-            return self._registrable
-        # Compute path — runs at most once per (name, PSL rule set).
+        # Compute path — runs once per (name, PSL rule set) switch.
         if str.startswith(self, "*."):
             # Exactly ONE wildcard level is stripped (certificate SANs
             # carry at most one; a remaining '*' participates in the
@@ -169,10 +156,6 @@ class Name(str):
                 result = target.registrable(psl)
         else:
             result = self._suffix_split(psl)
-        # Demote the previous entry to the second slot.
-        self._psl_ref2 = self._psl_ref
-        self._psl_version2 = self._psl_version
-        self._registrable2 = self._registrable
         self._psl_ref = psl
         self._psl_version = psl.version
         self._registrable = result
@@ -337,13 +320,9 @@ class NameTable:
         name = str.__new__(Name, text)
         tld = text.rpartition(".")[2]
         name.tld = self._tlds.setdefault(tld, tld)
-        name._stripped = None
         name._psl_ref = None
         name._psl_version = -1
         name._registrable = None
-        name._psl_ref2 = None
-        name._psl_version2 = -1
-        name._registrable2 = None
         return name
 
     # -- observability ------------------------------------------------------------

@@ -2,13 +2,14 @@
 GC discipline of world materialisation
 (:func:`~repro.workload.scenario.build_world`) and the five-step
 pipeline (:meth:`~repro.core.pipeline.DarkDNSPipeline.run`), and the
-base for frozen records slotted to keep no per-instance ``__dict__``.
+decorator that slots frozen records to keep no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from dataclasses import fields
 
 
 @contextmanager
@@ -61,18 +62,27 @@ def gc_paused():
             gc.enable()
 
 
-class FrozenSlots:
-    """Base for a frozen dataclass that spells out its ``__slots__``.
+def frozen_slots(cls):
+    """Rebuild a frozen dataclass with ``__slots__`` and no ``__dict__``.
 
-    ``dataclass(slots=True)`` needs Python 3.10, so a record that a run
-    keeps one of per candidate or per message lists its fields in
-    ``__slots__`` itself, in field order.  The frozen ``__setattr__``
-    would refuse the default slot-state restore, so copy and pickle
-    rebuild through ``__init__`` instead.
+    What ``dataclass(frozen=True, slots=True)`` does on Python 3.10+,
+    for the records a run keeps one of per candidate or per message;
+    unlike hand-written ``__slots__``, it also takes fields with
+    defaults (whose class attributes would clash with the slots).
+    Apply it above ``@dataclass(frozen=True)``.  The frozen
+    ``__setattr__`` would refuse the default slot-state restore, so
+    copy and pickle rebuild through ``__init__`` instead.
     """
+    names = tuple(f.name for f in fields(cls))
+    namespace = {key: value for key, value in cls.__dict__.items()
+                 if key not in names and key not in ("__dict__",
+                                                      "__weakref__")}
+    namespace["__slots__"] = names
+    namespace["__reduce__"] = _rebuild_through_init
+    slotted = type(cls)(cls.__name__, cls.__bases__, namespace)
+    slotted.__qualname__ = cls.__qualname__
+    return slotted
 
-    __slots__ = ()
 
-    def __reduce__(self):
-        return (type(self),
-                tuple(getattr(self, name) for name in self.__slots__))
+def _rebuild_through_init(self):
+    return (type(self), tuple(getattr(self, name) for name in self.__slots__))

@@ -67,7 +67,10 @@ class DomainLifecycle:
 
     A ``__slots__`` class rather than a dataclass: full-scale worlds
     hold one record per paper registration (tens of millions), so the
-    per-instance ``__dict__`` would dominate world memory.
+    per-instance ``__dict__`` would dominate world memory.  For the
+    same reason the registry hands every absent history the shared,
+    immutable :data:`~repro.simtime.timeline.EMPTY_TIMELINE`; a history
+    left to default here is a fresh ``Timeline`` its caller may fill.
     """
 
     __slots__ = (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.dnscore import name as dnsname
 from repro.errors import (
@@ -29,7 +29,7 @@ from repro.errors import (
     RDAPRateLimited,
     RDAPServerError,
 )
-from repro.heap import FrozenSlots
+from repro.heap import frozen_slots
 from repro.registry.registrar import registrar_by_name
 from repro.registry.registry import Registry, RegistryGroup
 from repro.simtime.clock import HOUR, isoformat
@@ -41,12 +41,10 @@ STATUSES_ACTIVE = ("active",)
 STATUSES_HELD = ("serverHold",)
 
 
+@frozen_slots
 @dataclass(frozen=True)
-class RDAPRecord(FrozenSlots):
+class RDAPRecord:
     """The fields of an RDAP domain object the pipeline consumes."""
-
-    __slots__ = ("domain", "created_at", "registrar", "registrar_iana_id",
-                 "statuses", "fetched_at")
 
     domain: str
     created_at: int
@@ -78,6 +76,7 @@ class RDAPFailure(enum.Enum):
         return self.value
 
 
+@frozen_slots
 @dataclass(frozen=True)
 class RDAPResult:
     """Outcome of one RDAP fetch attempt (the pipeline never retries)."""
@@ -219,7 +218,9 @@ class RDAPClient:
             raise RDAPError("need at least one worker IP")
         self._servers: Dict[str, RDAPServer] = {}
         self._rr = 0
-        self.results: List[RDAPResult] = []
+        #: Fetch attempts so far, and how many of them failed.
+        self.fetches = 0
+        self.failures = 0
         self.deleted_retention = deleted_retention
 
     def server_for(self, tld: str) -> Optional[RDAPServer]:
@@ -252,12 +253,13 @@ class RDAPClient:
             record, failure, _ = server.query_status(
                 norm, ts, client_ip=self._next_ip())
             result = RDAPResult(norm, ts, record=record, failure=failure)
-        self.results.append(result)
+        self.fetches += 1
+        if result.record is None:
+            self.failures += 1
         return result
 
     @property
     def failure_rate(self) -> float:
-        if not self.results:
+        if not self.fetches:
             return 0.0
-        failed = sum(1 for r in self.results if not r.ok)
-        return failed / len(self.results)
+        return self.failures / self.fetches

@@ -14,7 +14,8 @@ everything observable from them:
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from array import array
+from bisect import bisect_right
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dnscore import name as dnsname
@@ -27,7 +28,7 @@ from repro.errors import RegistrationError, UnknownDomainError
 from repro.registry.lifecycle import DomainLifecycle, RemovalReason
 from repro.registry.policy import TLDPolicy
 from repro.simtime.clock import DAY
-from repro.simtime.timeline import Timeline
+from repro.simtime.timeline import EMPTY_TIMELINE, Timeline
 
 #: Normalised NS sets memoised by the raw host tuple.  Providers hand
 #: out nameserver pairs from small pools, so the same tuples recur for
@@ -57,8 +58,10 @@ class Registry:
         self._lifecycles: Dict[str, DomainLifecycle] = {}
         #: Zone tick indices at which at least one mutation applied;
         #: the SOA serial at time t is the count of such ticks <= t.
-        self._dirty_ticks: Set[int] = set()
-        self._serial_cache: Optional[List[int]] = None
+        #: Appended in mutation order, which may repeat or go back in
+        #: time; :meth:`serial_at` sorts and de-duplicates on demand.
+        self._dirty_ticks = array("q")
+        self._ticks_sorted = True
 
     # -- registration ------------------------------------------------------------
 
@@ -78,9 +81,9 @@ class Registry:
         if norm.tld != self.tld:
             raise RegistrationError(f"{norm} does not belong under .{self.tld}")
         zone_added_at = None if held else self.policy.next_zone_tick(created_at)
-        # Timelines are built up front (single-change fast path) so the
-        # lifecycle constructor never allocates throwaway empties.
-        ns_timeline = a_timeline = aaaa_timeline = None
+        # Timelines are built up front (single-change fast path); an
+        # absent history is the shared empty, never a fresh one.
+        ns_timeline = a_timeline = aaaa_timeline = EMPTY_TIMELINE
         if zone_added_at is not None:
             ns_timeline = Timeline.single(zone_added_at,
                                           _normalized_ns_set(ns_hosts))
@@ -149,19 +152,21 @@ class Registry:
                 created_at=created_at, zone_added_at=zone_added_at,
                 removed_at=removed_at, zone_removed_at=zone_removed_at,
                 dns_provider=dns_provider, web_provider=web_provider,
-                ns_timeline=Timeline.from_changes(
-                    (ts, _normalized_ns_set(hosts)) for ts, hosts in ns_changes),
-                a_timeline=Timeline.from_changes(a_changes),
-                aaaa_timeline=Timeline.from_changes(aaaa_changes),
+                ns_timeline=(Timeline.from_changes(
+                    (ts, _normalized_ns_set(hosts)) for ts, hosts in ns_changes)
+                    if ns_changes else EMPTY_TIMELINE),
+                a_timeline=(Timeline.from_changes(a_changes) if a_changes
+                            else EMPTY_TIMELINE),
+                aaaa_timeline=(Timeline.from_changes(aaaa_changes)
+                               if aaaa_changes else EMPTY_TIMELINE),
                 is_malicious=is_malicious, abuse_kind=abuse_kind,
                 removal_reason=removal_reason, actor=actor,
                 campaign=campaign, held=held, lame=lame,
                 rdap_sync_lag=rdap_sync_lag)
             count += 1
-        new_ticks = set(dirty_ticks) - self._dirty_ticks
-        if new_ticks:
-            self._dirty_ticks |= new_ticks
-            self._serial_cache = None
+        if dirty_ticks:
+            self._dirty_ticks.extend(dirty_ticks)
+            self._ticks_sorted = False
         return count
 
     def schedule_removal(self, domain: str, removed_at: int,
@@ -180,9 +185,9 @@ class Registry:
             if zone_removed_at <= lifecycle.zone_added_at:
                 lifecycle.zone_added_at = None
                 lifecycle.zone_removed_at = None
-                lifecycle.ns_timeline = type(lifecycle.ns_timeline)()
-                lifecycle.a_timeline = type(lifecycle.a_timeline)()
-                lifecycle.aaaa_timeline = type(lifecycle.aaaa_timeline)()
+                lifecycle.ns_timeline = EMPTY_TIMELINE
+                lifecycle.a_timeline = EMPTY_TIMELINE
+                lifecycle.aaaa_timeline = EMPTY_TIMELINE
             else:
                 lifecycle.zone_removed_at = zone_removed_at
                 self._mark_dirty(zone_removed_at)
@@ -214,8 +219,13 @@ class Registry:
         if lifecycle.zone_added_at is None:
             raise RegistrationError(f"{domain} is not delegated")
         effective = self.policy.next_zone_tick(change_at)
+        # The shared empty history is never mutated in place.
+        if lifecycle.ns_timeline is EMPTY_TIMELINE:
+            lifecycle.ns_timeline = Timeline()
         lifecycle.ns_timeline.set(effective, _normalized_ns_set(ns_hosts))
         if a_addrs:
+            if lifecycle.a_timeline is EMPTY_TIMELINE:
+                lifecycle.a_timeline = Timeline()
             lifecycle.a_timeline.set(effective, tuple(sorted(a_addrs)))
         if dns_provider is not None:
             lifecycle.dns_provider = dns_provider
@@ -286,9 +296,12 @@ class Registry:
 
     def _mark_dirty(self, tick_ts: int) -> None:
         index = self.policy.tick_index(tick_ts)
-        if index not in self._dirty_ticks:
-            self._dirty_ticks.add(index)
-            self._serial_cache = None
+        ticks = self._dirty_ticks
+        if not ticks or index > ticks[-1]:
+            ticks.append(index)  # still sorted if it was
+        elif index != ticks[-1]:
+            ticks.append(index)
+            self._ticks_sorted = False
 
     def dirty_tick_indices(self) -> FrozenSet[int]:
         """Zone-tick indices at which at least one mutation applied.
@@ -301,9 +314,10 @@ class Registry:
 
     def serial_at(self, ts: int) -> int:
         """SOA serial at ``ts``: number of content-changing runs so far."""
-        if self._serial_cache is None:
-            self._serial_cache = sorted(self._dirty_ticks)
-        return bisect_right(self._serial_cache, self.policy.tick_index(ts))
+        if not self._ticks_sorted:
+            self._dirty_ticks = array("q", sorted(set(self._dirty_ticks)))
+            self._ticks_sorted = True
+        return bisect_right(self._dirty_ticks, self.policy.tick_index(ts))
 
     def authority(self) -> TLDAuthority:
         """An authoritative server view over this registry."""

@@ -36,12 +36,17 @@ class TestSlottedRecords:
         records = (tiny_result.candidates[domain],
                    tiny_result.monitors[domain],
                    tiny_result.verdicts[domain],
+                   tiny_result.rdap[domain],
+                   RDAPResult(domain, 5, failure=RDAPFailure.NOT_FOUND),
+                   FeedRecord(domain, "com", 5),
                    tiny_result.rdap[domain].record)
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
-            assert pickle.loads(pickle.dumps(record)) == record
-            assert copy.copy(record) == record
-            assert copy.deepcopy(record) == record
+            for clone in (pickle.loads(pickle.dumps(record)),
+                          copy.copy(record), copy.deepcopy(record)):
+                assert clone == record and type(clone) is type(record)
+                assert hash(clone) == hash(record)
+                assert repr(clone) == repr(record)
             with pytest.raises(AttributeError):
                 record.domain = "other.com"
         tld = tiny_result.candidates[domain].tld
@@ -184,6 +189,35 @@ class TestPublicFeed:
         record = FeedRecord("a.com", "com", 100)
         parsed = FeedRecord.from_json(record.to_json())
         assert parsed == record
+
+    def test_loader_quarantines_non_finite_and_null_fields(self, tmp_path):
+        """JSON admits ``Infinity``, ``1e400`` and ``null``; each such
+        line is skipped like any malformed one, not raised."""
+        good = FeedRecord("ok.com", "com", 9).to_json()
+        path = tmp_path / "feed.jsonl"
+        path.write_text("\n".join([
+            good,
+            '{"domain": "a.com", "tld": "com", "seen_at": Infinity}',
+            '{"domain": "b.com", "tld": "com", "seen_at": 1e400}',
+            '{"domain": null, "tld": "com", "seen_at": 5}',
+        ]) + "\n", encoding="utf-8")
+        loaded = PublicFeed.from_jsonl(path)
+        assert [r.domain for r in loaded] == ["ok.com"]
+        assert loaded.load_errors == 3
+
+    @pytest.mark.parametrize("fields", [
+        '"seen_at": NaN', '"seen_at": -Infinity', '"seen_at": true',
+        '"seen_at": 1.5', '"seen_at": "5"', '"seen_at": [5]',
+        '"seen_at": 5, "source": null', '"seen_at": 5, "source": [1]'])
+    def test_from_json_rejects_malformed_fields(self, fields):
+        line = '{"domain": "a.com", "tld": "com", %s}' % fields
+        with pytest.raises((ValueError, TypeError)):
+            FeedRecord.from_json(line)
+
+    def test_from_json_accepts_whole_floats(self):
+        record = FeedRecord.from_json(
+            '{"domain": "a.com", "tld": "com", "seen_at": 7.0}')
+        assert record.seen_at == 7 and type(record.seen_at) is int
 
 
 class TestEndToEnd:

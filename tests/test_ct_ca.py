@@ -154,6 +154,22 @@ class TestCertificateAuthority:
         with pytest.raises(ValidationError):
             CertificateAuthority("CA", _oracle(set()), [])
 
+    def test_keeps_no_per_issuance_state(self):
+        """The requester gets the issuance record; the CA keeps only
+        its DV tokens, and the certificates live in the CT logs."""
+        log = CTLog("t")
+        ca = CertificateAuthority("CA", _oracle({"a.com"}), [log])
+        ca.request_certificate("a.com", 1000)
+        sizes = {key: len(value) for key, value in vars(ca).items()
+                 if isinstance(value, (list, dict, set, tuple))}
+        for i in range(5):
+            record = ca.request_certificate("a.com", 2000 + i)
+            assert record.log_entries[0].certificate is record.certificate
+        assert len(log) == 6
+        assert not hasattr(ca, "issued")
+        assert sizes == {key: len(value) for key, value in vars(ca).items()
+                         if isinstance(value, (list, dict, set, tuple))}
+
     def test_dvtoken_window(self):
         token = DVToken("a.com", 1000)
         assert token.valid_at(1000)

@@ -20,18 +20,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: tracemalloc bytes live after ``build_world`` per registration (seed
 #: 7, 1/2000, no ccTLD; imports excluded).  Python 3.9 / 3.11 / 3.12
-#: read 1,529 / 1,521 / 1,481.  With a single-change timeline held as
-#: two 1-tuples they read 1,786 / 1,776 / 1,736, which this budget
-#: rejects; the headroom absorbs the object-size differences between
-#: interpreter versions.
-BUDGET_BYTES_PER_REGISTRATION = 1_650
+#: read 1,310 / 1,299 / 1,259.  With a per-issuance log in every CA,
+#: eight slots per ``Name``, a fresh empty timeline per absent history
+#: and dirty zone ticks held as int objects in a set they read 1,529 /
+#: 1,521 / 1,481, which this budget rejects; the headroom absorbs the
+#: object-size differences between interpreter versions.
+BUDGET_BYTES_PER_REGISTRATION = 1_400
 
 #: tracemalloc growth across ``DarkDNSPipeline(world).run()`` per CT
-#: candidate on the same world.  Python 3.9 / 3.11 / 3.12 read 1,383 /
-#: 1,247 / 1,226.  With a ``Message`` kept per produced record and
-#: ``__dict__``-backed pipeline records they read 2,281 / 1,886 /
-#: 1,825, which this budget rejects.
-BUDGET_BYTES_PER_CANDIDATE = 1_600
+#: candidate on the same world.  Python 3.9 / 3.11 / 3.12 read 1,207 /
+#: 1,166 / 1,160; the budget is the highest plus about 5 %.  With
+#: ``__dict__``-backed ``RDAPResult`` and ``FeedRecord`` records and a
+#: second list of every RDAP result they read 1,383 / 1,247 / 1,226,
+#: and with a ``Message`` kept per produced record as well 2,281 /
+#: 1,886 / 1,825.
+BUDGET_BYTES_PER_CANDIDATE = 1_270
 
 _PROBE = """
 import gc, json, tracemalloc

@@ -139,8 +139,10 @@ class TestRDAPClient:
     def test_results_accumulate(self, registry):
         client = self._client(registry)
         client.fetch("alive.com", 20_000)
-        client.fetch("alive.com", 21_000)
-        assert len(client.results) == 2
+        client.fetch("ghost.com", 21_000)
+        # The client counts its fetches; it keeps no list of results.
+        assert (client.fetches, client.failures) == (2, 1)
+        assert not hasattr(client, "results")
 
     def test_requires_worker_ip(self, registry):
         from repro.errors import RDAPError

@@ -1,12 +1,18 @@
 """Tests for the Registry: provisioning cadence, holds, ground truth."""
 
-import pytest
+import copy
+import pickle
 
-from repro.errors import RegistrationError, UnknownDomainError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import RegistrationError, SimulationError, UnknownDomainError
 from repro.registry.lifecycle import RemovalReason
 from repro.registry.policy import gtld, policy_for
-from repro.registry.registry import Registry, RegistryGroup
+from repro.registry.registry import Registry, RegistryGroup, lifecycle_rows
 from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.timeline import EMPTY_TIMELINE
 
 
 @pytest.fixture
@@ -129,6 +135,29 @@ class TestSerial:
         assert registry.serial_at(t0 - 1) == 0
         assert registry.serial_at(last_tick) == 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("mark"), st.integers(0, 40)),
+        st.tuples(st.just("ask"), st.integers(-2, 45))), max_size=60))
+    def test_serial_matches_brute_force(self, ops):
+        """Any interleaving of mutations (in or out of tick order,
+        repeated or not) and serial queries counts the distinct dirty
+        ticks at or before the asked one."""
+        registry = Registry(gtld("com", MINUTE))
+        policy = registry.policy
+        tick = policy.tick_phase()  # tick_index(tick) == 1
+        marked = set()
+        for op, index in ops:
+            if op == "mark":
+                registry._mark_dirty(tick + (index - 1) * MINUTE)
+                marked.add(index)
+            else:
+                ts = tick + (index - 1) * MINUTE
+                asked = policy.tick_index(ts)
+                assert registry.serial_at(ts) == sum(
+                    1 for m in marked if m <= asked)
+        assert registry.dirty_tick_indices() == frozenset(marked)
+
     def test_serial_monotone(self, registry):
         for i in range(5):
             register(registry, domain=f"d{i}.com", created=10_000 + i * 600)
@@ -143,6 +172,59 @@ class TestSerial:
         response = auth.lookup(Query("example.com", RRType.NS),
                                lc.zone_added_at)
         assert response.exists
+
+
+class TestSharedEmptyTimeline:
+    """Absent histories share one immutable empty timeline; a change
+    to a lifecycle holding it gives that lifecycle its own."""
+
+    def test_absent_histories_share_the_empty(self, registry):
+        one = register(registry, domain="one.com")
+        two = register(registry, domain="two.com", a_addrs=[])
+        held = register(registry, domain="held.com", held=True)
+        assert one.aaaa_timeline is two.aaaa_timeline is EMPTY_TIMELINE
+        assert two.a_timeline is EMPTY_TIMELINE
+        assert held.ns_timeline is held.a_timeline is EMPTY_TIMELINE
+        assert one.a_timeline is not EMPTY_TIMELINE
+
+    def test_changes_never_reach_another_lifecycle(self, registry):
+        one = register(registry, domain="one.com", a_addrs=[])
+        two = register(registry, domain="two.com", a_addrs=[])
+        registry.change_nameservers("one.com", 20_000, ["ns9.x.net"],
+                                    a_addrs=["192.0.2.9"])
+        assert one.a_timeline is not EMPTY_TIMELINE
+        assert one.addresses_at(30_000) == ("192.0.2.9",)
+        assert two.a_timeline is EMPTY_TIMELINE
+        assert two.addresses_at(30_000) == ()
+        assert not EMPTY_TIMELINE and len(EMPTY_TIMELINE) == 0
+
+    def test_early_removal_resets_to_the_empty(self, registry):
+        lc = register(registry, domain="gone.com", created=10_000)
+        registry.schedule_removal("gone.com", 10_001)
+        assert lc.zone_added_at is None
+        assert (lc.ns_timeline is lc.a_timeline is lc.aaaa_timeline
+                is EMPTY_TIMELINE)
+        assert not EMPTY_TIMELINE
+
+    def test_the_empty_refuses_in_place_changes(self):
+        with pytest.raises(SimulationError):
+            EMPTY_TIMELINE.set(1, ("192.0.2.1",))
+        assert not EMPTY_TIMELINE
+        assert copy.deepcopy(EMPTY_TIMELINE) is EMPTY_TIMELINE
+        assert pickle.loads(pickle.dumps(EMPTY_TIMELINE)) is EMPTY_TIMELINE
+
+    def test_bulk_load_keeps_the_same_shape(self, registry):
+        register(registry, domain="one.com")
+        register(registry, domain="two.com", a_addrs=[])
+        register(registry, domain="held.com", held=True)
+        rebuilt = Registry(registry.policy)
+        rebuilt.register_many(lifecycle_rows(registry),
+                              registry.dirty_tick_indices())
+        for lc in registry.lifecycles():
+            twin = rebuilt.get(lc.domain)
+            for field in ("ns_timeline", "a_timeline", "aaaa_timeline"):
+                assert ((getattr(lc, field) is EMPTY_TIMELINE)
+                        == (getattr(twin, field) is EMPTY_TIMELINE)), field
 
 
 class TestGroundTruth:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ct.ca import CertificateAuthority
 from repro.dnscore import name as dnsname
 from repro.errors import ConfigError
 from repro.simtime.clock import DAY, HOUR, PAPER_WINDOW
@@ -214,19 +215,37 @@ class TestScenario:
             if expected > 100:
                 assert abs(counts.get(tld, 0) - expected) / expected < 0.15
 
-    def test_certs_only_for_existing_or_token(self, tiny_world):
+    def test_certs_only_for_existing_or_token(self, monkeypatch):
         """Every issued certificate either validated freshly (domain in
-        zone) or reused a token (ghost/held)."""
-        for ca in tiny_world.cas:
-            for record in ca.issued:
-                domain = record.certificate.common_name
-                lifecycle = tiny_world.registries.find_lifecycle(domain)
-                if record.fresh_validation:
-                    assert lifecycle is not None
-                    assert lifecycle.in_zone_at(record.issued_at
-                                                - ca.validation_delay)
-                else:
-                    assert record.certificate.reused_validation
+        zone) or reused a token (ghost/held).  A CA keeps no issuance
+        log, so the records are collected from ``request_certificate``
+        while the tiny world builds."""
+        issued = []
+        request = CertificateAuthority.request_certificate
+
+        def recording(ca, *args, **kwargs):
+            record = request(ca, *args, **kwargs)
+            issued.append((ca, record))
+            return record
+
+        monkeypatch.setattr(CertificateAuthority, "request_certificate",
+                            recording)
+        world = build_world(ScenarioConfig(
+            seed=11, scale=1 / 5000, tlds=["com", "xyz"],
+            include_cctld=False))
+        assert len(issued) == world.stats["cert_requests"] > 0
+        assert any(r.fresh_validation for _, r in issued)
+        assert any(not r.fresh_validation for _, r in issued)
+        for ca, record in issued:
+            domain = record.certificate.common_name
+            lifecycle = world.registries.find_lifecycle(domain)
+            if record.fresh_validation:
+                assert lifecycle is not None
+                assert lifecycle.in_zone_at(record.issued_at
+                                            - ca.validation_delay)
+            else:
+                assert record.certificate.reused_validation
+            assert len(record.log_entries) == len(ca.logs)
 
     def test_small_world_helper(self):
         world = small_world(seed=2, tlds=("com",), scale=1 / 5000)
