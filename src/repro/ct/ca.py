@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.ct.certificate import Certificate, MAX_VALIDITY, make_precert
 from repro.ct.ctlog import CTLog, LogEntry
@@ -73,16 +73,19 @@ class CertificateAuthority:
     ``existence_oracle(domain, ts)`` answers "does this domain resolve
     in its TLD zone at ``ts``" — in scenarios it is wired to
     :meth:`repro.registry.RegistryGroup.find_lifecycle` + zone state.
+    ``serials`` numbers the certificates issued; a world passes one
+    counter to all its CAs, so serials depend only on the world.
+    Without one the CA numbers its own issuances from 1.
     """
-
-    _serials = itertools.count(1)
 
     def __init__(self, name: str,
                  existence_oracle: Callable[[str, int], bool],
                  logs: Iterable[CTLog],
                  validation_delay: int = 5,
-                 log_submission_delay: int = 2) -> None:
+                 log_submission_delay: int = 2,
+                 serials: Optional[Iterator[int]] = None) -> None:
         self.name = name
+        self._serials = serials if serials is not None else itertools.count(1)
         self._exists = existence_oracle
         self.logs: List[CTLog] = list(logs)
         if not self.logs:

@@ -2,7 +2,7 @@
 
 The cross-cutting observability layer (see ``docs/observability.md``):
 
-* :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
+* :mod:`repro.obs.metrics` — the ``Counter`` and ``Histogram``
   primitives, the process-wide :class:`MetricsRegistry`, and its JSON
   snapshot rendering :func:`to_json`;
 * :mod:`repro.obs.spans` — the phase :func:`span` tracer (wall time,
@@ -21,7 +21,6 @@ dnscore, czds, serve, scan, core, workload, cli — may depend on it.
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -46,8 +45,7 @@ from repro.obs.profiler import SamplingProfiler
 from repro.obs.log import LogRouter, get_logger
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
-    "to_json",
+    "Counter", "Histogram", "MetricsRegistry", "get_registry", "to_json",
     "Span", "Tracer", "span", "tracer", "set_enabled",
     "Anomaly", "MassEvent", "RollingBaseline", "SeriesObserver",
     "ObserverSuite", "daily_counts", "default_pipeline_suite",

@@ -1,11 +1,12 @@
 """Metric primitives, the process-wide registry, and its JSON rendering.
 
-The telemetry layer every subsystem shares: :class:`Counter`,
-:class:`Gauge`, and :class:`Histogram` primitives (with optional label
-dimensions on counters and gauges) plus the :class:`MetricsRegistry`
-that groups them per subsystem.  :func:`get_registry` returns the default
-process-wide registry that :func:`to_json` renders for the
-``repro metrics`` CLI command and ``--metrics-out``.
+The telemetry layer every subsystem shares: a plain :class:`Counter`
+and a fixed-bucket :class:`Histogram`, plus the :class:`MetricsRegistry`
+that groups them per subsystem.  A count broken down by some key (faults
+by kind, phases by name) is a plain ``Dict[str, int]`` on its provider.
+:func:`get_registry` returns the default process-wide registry that
+:func:`to_json` renders for the ``repro metrics`` CLI command and
+``--metrics-out``.
 
 Everything here is dependency-free (stdlib only), draws from **no RNG
 stream** (so instrumentation can never perturb a sampled value — the
@@ -24,142 +25,29 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
-    "to_json",
+    "Counter", "Histogram", "MetricsRegistry", "get_registry", "to_json",
 ]
 
 
-def _check_labelnames(labelnames: Sequence[str]) -> Tuple[str, ...]:
-    names = tuple(labelnames)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate label names: {names}")
-    for name in names:
-        if not name or not name.replace("_", "a").isalnum():
-            raise ValueError(f"invalid label name: {name!r}")
-    return names
+class Counter:
+    """A named count that only goes up."""
 
+    __slots__ = ("name", "value")
 
-class _LabeledMetric:
-    """Shared parent/child machinery for labelled counters and gauges.
-
-    A metric constructed with ``labelnames`` is a *parent*: it holds no
-    value of its own and hands out per-label-value children via
-    :meth:`labels`.  A metric without label names is its own single
-    child.  Children are memoised, so ``m.labels(tld="com")`` is cheap
-    enough for non-hot-path call sites (hot loops should hoist the
-    child once, exactly like they hoist bound methods today).
-    """
-
-    __slots__ = ("name", "help", "labelnames", "_labelvalues", "_children")
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
-        self.labelnames = _check_labelnames(labelnames)
-        self._labelvalues: Tuple[str, ...] = ()
-        self._children: Optional[Dict[Tuple[str, ...], "_LabeledMetric"]] = (
-            {} if self.labelnames else None)
-
-    # -- labels ---------------------------------------------------------------
-
-    def labels(self, *values, **kv):
-        """Return (creating if needed) the child for one label vector."""
-        if not self.labelnames:
-            raise ValueError(f"{self.name} has no label dimensions")
-        if self._children is None:
-            raise ValueError(f"{self.name}: labels() on a child metric")
-        if kv:
-            if values:
-                raise ValueError("pass label values either positionally "
-                                 "or by keyword, not both")
-            try:
-                values = tuple(kv[name] for name in self.labelnames)
-            except KeyError as exc:
-                raise ValueError(f"missing label {exc} "
-                                 f"(expected {self.labelnames})") from None
-            if len(kv) != len(self.labelnames):
-                extra = set(kv) - set(self.labelnames)
-                raise ValueError(f"unexpected labels: {sorted(extra)}")
-        values = tuple(str(v) for v in values)
-        if len(values) != len(self.labelnames):
-            raise ValueError(f"{self.name} expects {len(self.labelnames)} "
-                             f"label values, got {len(values)}")
-        child = self._children.get(values)
-        if child is None:
-            child = type(self)(self.name, self.help)
-            child._labelvalues = values
-            child.labelnames = self.labelnames
-            child._children = None
-            self._children[values] = child
-        return child
-
-    def children(self) -> Iterator["_LabeledMetric"]:
-        """The concrete value-holding metrics (itself when unlabelled)."""
-        if self._children is None:
-            yield self
-        else:
-            # Sorted for stable snapshot output, run to run.
-            for key in sorted(self._children):
-                yield self._children[key]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class Counter(_LabeledMetric):
-    """A monotonically increasing count, optionally labelled."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help, labelnames)
         self.value = 0
 
     def inc(self, amount: float = 1) -> None:
-        if self._children is not None:
-            raise ValueError(f"{self.name} is labelled; inc() a child "
-                             f"from labels()")
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
 
-
-class Gauge(_LabeledMetric):
-    """A value that can go up or down, optionally labelled."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help, labelnames)
-        self._value = 0.0
-
-    def _check_leaf(self) -> None:
-        if self._children is not None:
-            raise ValueError(f"{self.name} is labelled; use labels() first")
-
-    def set(self, value: float) -> None:
-        self._check_leaf()
-        self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self._check_leaf()
-        self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self._check_leaf()
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        if self._children is not None:
-            raise ValueError(f"{self.name} is labelled; read a child")
-        return self._value
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"Counter({self.name!r}, value={self.value})"
 
 
 class Histogram:
@@ -176,12 +64,11 @@ class Histogram:
 
     DEFAULT_BOUNDS = (1, 10, 60, 300, 900, 3600, 6 * 3600, 24 * 3600)
 
-    __slots__ = ("name", "help", "bounds", "buckets", "count", "total", "max")
+    __slots__ = ("name", "bounds", "buckets", "count", "total", "max")
 
-    def __init__(self, name: str, bounds: Optional[Sequence[float]] = None,
-                 help: str = "") -> None:
+    def __init__(self, name: str,
+                 bounds: Optional[Sequence[float]] = None) -> None:
         self.name = name
-        self.help = help
         self.bounds: List[float] = sorted(bounds if bounds is not None
                                           else self.DEFAULT_BOUNDS)
         if not self.bounds:
@@ -257,16 +144,6 @@ class MetricsRegistry:
             raise TypeError(
                 f"provider for {group!r} lacks a snapshot() method")
         self._groups[group] = provider
-
-    def unregister(self, group: str) -> None:
-        self._groups.pop(group, None)
-
-    def group(self, name: str):
-        """The registered provider, or None."""
-        return self._groups.get(name)
-
-    def groups(self) -> List[str]:
-        return sorted(self._groups)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view of every group (stable key order)."""

@@ -51,7 +51,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.metrics import Counter, Gauge, get_registry
+from repro.obs.metrics import get_registry
 
 __all__ = ["Span", "Tracer", "span", "tracer", "set_enabled"]
 
@@ -210,18 +210,20 @@ class Tracer:
             self.spans.append(finished)
         else:
             self.dropped_spans += 1
-        phase = finished.name
-        self.calls.labels(phase).inc()
-        self.wall.labels(phase).inc(finished.wall_sec)
+        entry = self._phases.get(finished.name)
+        if entry is None:
+            entry = self._phases[finished.name] = {
+                "count": 0, "wall_sec": 0.0, "peak_rss_kb": 0,
+                "rss_growth_kb": 0}
+        entry["count"] += 1
+        entry["wall_sec"] += finished.wall_sec
+        if finished.peak_rss_kb > entry["peak_rss_kb"]:
+            entry["peak_rss_kb"] = finished.peak_rss_kb
+        entry["rss_growth_kb"] += finished.rss_growth_kb
         if finished.error is not None:
-            self.errors.labels(phase).inc()
-        rss = self.peak_rss.labels(phase)
-        if finished.peak_rss_kb > rss.value:
-            rss.set(finished.peak_rss_kb)
-        if finished.rss_growth_kb > 0:
-            self.rss_growth.labels(phase).inc(finished.rss_growth_kb)
+            entry["errors"] = entry.get("errors", 0) + 1
         if finished.sim_sec is not None:
-            self._sim[phase] = self._sim.get(phase, 0) + finished.sim_sec
+            entry["sim_sec"] = entry.get("sim_sec", 0) + finished.sim_sec
 
     # -- cross-process stitching ----------------------------------------------
 
@@ -308,22 +310,8 @@ class Tracer:
 
     def phase_totals(self) -> Dict[str, Dict[str, object]]:
         """Per-phase aggregate table, keyed by canonical phase name."""
-        totals: Dict[str, Dict[str, object]] = {}
-        for child in self.calls.children():
-            phase = child._labelvalues[0]
-            entry: Dict[str, object] = {
-                "count": int(child.value),
-                "wall_sec": round(self.wall.labels(phase).value, 4),
-                "peak_rss_kb": int(self.peak_rss.labels(phase).value),
-                "rss_growth_kb": int(self.rss_growth.labels(phase).value),
-            }
-            errors = int(self.errors.labels(phase).value)
-            if errors:
-                entry["errors"] = errors
-            if phase in self._sim:
-                entry["sim_sec"] = self._sim[phase]
-            totals[phase] = entry
-        return totals
+        return {phase: {**entry, "wall_sec": round(entry["wall_sec"], 4)}
+                for phase, entry in sorted(self._phases.items())}
 
     def snapshot(self) -> Dict[str, object]:
         return self.phase_totals()
@@ -334,20 +322,9 @@ class Tracer:
         self.dropped_spans = 0
         self._stack: List[Span] = []
         self._next_id = 0
-        self._sim: Dict[str, int] = {}
-        self.calls = Counter("span_calls", "phase executions",
-                             labelnames=("phase",))
-        self.wall = Counter("span_wall_seconds", "wall seconds per phase",
-                            labelnames=("phase",))
-        self.errors = Counter("span_errors", "phases that raised",
-                              labelnames=("phase",))
-        self.peak_rss = Gauge("span_peak_rss_kb",
-                              "process peak RSS at phase exit",
-                              labelnames=("phase",))
-        self.rss_growth = Counter(
-            "span_rss_growth_kb",
-            "high-water RSS advance attributed to the phase",
-            labelnames=("phase",))
+        #: Per-phase aggregates, in the :meth:`phase_totals` shape
+        #: (``errors`` and ``sim_sec`` appear once a span brings one).
+        self._phases: Dict[str, Dict[str, float]] = {}
 
 
 #: The process tracer, registered as the registry's "spans" group.

@@ -28,17 +28,13 @@ HALF_OPEN = "half_open"
 class BreakerConfig:
     """Tuning knobs for :class:`CircuitBreaker` (see docs/resilience.md).
 
-    The breaker trips when *either* ``failure_threshold`` consecutive
-    failures occur, or the error rate over the last ``window`` outcomes
-    reaches ``error_rate_threshold`` (with at least ``window`` outcomes
-    observed).  After ``cooldown`` time units it admits up to
+    The breaker trips after ``failure_threshold`` consecutive
+    failures.  After ``cooldown`` time units it admits up to
     ``half_open_probes`` trial calls; any failure reopens it, and
     ``half_open_probes`` consecutive successes close it.
     """
 
     failure_threshold: int = 5
-    error_rate_threshold: float = 1.0
-    window: int = 20
     cooldown: float = 300.0
     half_open_probes: int = 2
 
@@ -46,12 +42,6 @@ class BreakerConfig:
         if self.failure_threshold <= 0:
             raise ConfigError(
                 f"failure_threshold must be positive: {self.failure_threshold}")
-        if not 0.0 < self.error_rate_threshold <= 1.0:
-            raise ConfigError(
-                f"error_rate_threshold must be in (0, 1]: "
-                f"{self.error_rate_threshold}")
-        if self.window <= 0:
-            raise ConfigError(f"window must be positive: {self.window}")
         if self.cooldown < 0:
             raise ConfigError(f"cooldown must be >= 0: {self.cooldown}")
         if self.half_open_probes <= 0:
@@ -78,8 +68,6 @@ class CircuitBreaker:
         self.opened_at: Optional[float] = None
         self.half_open_inflight = 0
         self.half_open_successes = 0
-        #: Sliding outcome window: 1 = failure, 0 = success.
-        self._window: list = []
         #: Lifetime transition counts, keyed ``"closed->open"`` etc.
         self.transitions: Dict[str, int] = {}
         #: Calls refused while open.
@@ -108,7 +96,6 @@ class CircuitBreaker:
 
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0
-        self._observe(0)
         if self.state == HALF_OPEN:
             self.half_open_inflight = max(0, self.half_open_inflight - 1)
             self.half_open_successes += 1
@@ -117,30 +104,15 @@ class CircuitBreaker:
 
     def record_failure(self, now: float) -> None:
         self.consecutive_failures += 1
-        self._observe(1)
         if self.state == HALF_OPEN:
             # One bad probe sends it straight back to open.
             self._open(now)
             return
-        if self.state == CLOSED and self._should_trip():
+        if (self.state == CLOSED and self.consecutive_failures
+                >= self.config.failure_threshold):
             self._open(now)
 
     # -- internals -------------------------------------------------------------
-
-    def _should_trip(self) -> bool:
-        if self.consecutive_failures >= self.config.failure_threshold:
-            return True
-        if (self.config.error_rate_threshold < 1.0
-                and len(self._window) >= self.config.window):
-            rate = sum(self._window) / len(self._window)
-            if rate >= self.config.error_rate_threshold:
-                return True
-        return False
-
-    def _observe(self, outcome: int) -> None:
-        self._window.append(outcome)
-        if len(self._window) > self.config.window:
-            del self._window[:len(self._window) - self.config.window]
 
     def _open(self, now: float) -> None:
         self._transition(OPEN)
@@ -159,7 +131,6 @@ class CircuitBreaker:
             self.half_open_successes = 0
         elif state == CLOSED:
             self.consecutive_failures = 0
-            self._window.clear()
             self.opened_at = None
 
     def snapshot(self) -> Dict[str, object]:

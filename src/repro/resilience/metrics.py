@@ -13,6 +13,7 @@ every other subsystem.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict
 
 from repro.obs.metrics import Counter, get_registry
@@ -21,60 +22,41 @@ __all__ = ["ResilienceMetrics", "get_resilience_metrics"]
 
 
 class ResilienceMetrics:
-    """Counters for every fault injected and every recovery performed."""
+    """Counts of every fault injected and every recovery performed.
+
+    Four counts are broken down by a key and held as plain dicts that
+    call sites bump with ``d[key] += 1``; the rest are :class:`Counter`
+    values.  :meth:`snapshot` names each ``resilience_<attr>_total``.
+    """
 
     def __init__(self) -> None:
         #: Injected faults, by kind (worker.crash, scan.servfail, ...).
-        self.faults_injected = Counter(
-            "resilience_faults_injected_total",
-            "Faults fired by the active fault plan", labelnames=("kind",))
-        #: Build-worker failures observed by the supervisor (injected
-        #: crashes and real exceptions as ``crash``, shards lost to a
-        #: broken pool as ``pool_broken``).
-        self.worker_failures = Counter(
-            "resilience_worker_failures_total",
-            "Build shards whose worker crashed or was lost",
-            labelnames=("reason",))
-        self.serial_fallbacks = Counter(
-            "resilience_serial_fallbacks_total",
-            "Failed build shards rebuilt in-process")
-        #: Breaker lifecycle, labelled by the transition edge.
-        self.breaker_transitions = Counter(
-            "resilience_breaker_transitions_total",
-            "Circuit breaker state transitions",
-            labelnames=("transition",))
-        self.breaker_skips = Counter(
-            "resilience_breaker_skips_total",
-            "Probes refused because a circuit breaker was open")
-        #: Segmented-log salvage results.
-        self.torn_lines = Counter(
-            "resilience_torn_lines_total",
-            "Segment lines dropped by CRC/parse during salvage")
-        self.records_salvaged = Counter(
-            "resilience_records_salvaged_total",
-            "Complete records recovered from damaged segments")
-        self.segments_quarantined = Counter(
-            "resilience_segments_quarantined_total",
-            "Segment files moved aside as unrecoverable or orphaned")
-        #: Serve-side degradation.
-        self.shed_clients = Counter(
-            "resilience_shed_clients_total",
-            "Subscribers dropped by overload shedding", labelnames=("tier",))
-        #: Feed-ingest hygiene.
-        self.rejected_lines = Counter(
-            "resilience_rejected_lines_total",
-            "Malformed feed lines quarantined to a .rejects sidecar")
+        self.faults_injected: Dict[str, int] = defaultdict(int)
+        #: Build-worker failures observed by the supervisor, by reason
+        #: (injected crashes and real exceptions as ``crash``, shards
+        #: lost to a broken pool as ``pool_broken``).
+        self.worker_failures: Dict[str, int] = defaultdict(int)
+        #: Failed build shards rebuilt in-process.
+        self.serial_fallbacks = Counter("serial_fallbacks")
+        #: Circuit breaker state transitions, by edge (``closed->open``).
+        self.breaker_transitions: Dict[str, int] = defaultdict(int)
+        #: Probes refused because a circuit breaker was open.
+        self.breaker_skips = Counter("breaker_skips")
+        #: Segmented-log salvage: lines dropped by CRC/parse, complete
+        #: records recovered, files moved aside as unrecoverable.
+        self.torn_lines = Counter("torn_lines")
+        self.records_salvaged = Counter("records_salvaged")
+        self.segments_quarantined = Counter("segments_quarantined")
+        #: Subscribers dropped by overload shedding, by tier.
+        self.shed_clients: Dict[str, int] = defaultdict(int)
+        #: Malformed feed lines quarantined to a .rejects sidecar.
+        self.rejected_lines = Counter("rejected_lines")
 
     def snapshot(self) -> Dict[str, object]:
-        snap: Dict[str, object] = {}
-        for metric in vars(self).values():      # every attribute is a Counter
-            if metric.labelnames:
-                snap[metric.name] = {
-                    ",".join(child._labelvalues): child.value
-                    for child in metric.children()}
-            else:
-                snap[metric.name] = metric.value
-        return snap
+        return {f"resilience_{attr}_total":
+                dict(sorted(metric.items())) if isinstance(metric, dict)
+                else metric.value
+                for attr, metric in vars(self).items()}
 
 
 _METRICS: ResilienceMetrics = ResilienceMetrics()

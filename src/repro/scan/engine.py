@@ -367,8 +367,7 @@ class ScanEngine:
                                   str(entry.nominal), target=builder.tld,
                                   at=entry.nominal)
                 if spec is not None and spec.delay > 0:
-                    self._resilience.faults_injected.labels(
-                        kind="scan.latency").inc()
+                    self._resilience.faults_injected["scan.latency"] += 1
                     scheduler.defer(entry, entry.due + max(1, int(spec.delay)))
                     continue
             if is_grid:
@@ -485,7 +484,7 @@ class ScanEngine:
                 if plan.wants(fault) and plan.fires(
                         fault, *key, target=builder.tld,
                         attempt=entry.attempt, at=now):
-                    self._resilience.faults_injected.labels(kind=fault).inc()
+                    self._resilience.faults_injected[fault] += 1
                     return synthesize(worker.query_for(builder.domain, kind),
                                       served_at=now)
         return worker.probe(builder.domain, kind, now)
@@ -500,7 +499,7 @@ class ScanEngine:
             log = self._log
 
             def on_transition(old: str, new: str, tld: str = tld) -> None:
-                transitions.labels(transition=f"{old}->{new}").inc()
+                transitions[f"{old}->{new}"] += 1
                 log.warning(f"scan breaker {tld}: {old} -> {new}",
                             authority=tld, transition=f"{old}->{new}")
 

@@ -349,8 +349,7 @@ class SegmentedLog:
             cut = 1 + plan.stream("log.torn_write", path.name).randrange(
                 min(len(payload), 256))
             payload = payload[:-cut]
-            get_resilience_metrics().faults_injected.labels(
-                kind="log.torn_write").inc()
+            get_resilience_metrics().faults_injected["log.torn_write"] += 1
         tmp = path.parent / (path.name + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(payload)

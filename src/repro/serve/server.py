@@ -216,7 +216,7 @@ class FeedServer:
                 self.unsubscribe(client_id)
                 self._shed_total += 1
                 self.metrics.shed_clients.inc()
-                self._resilience.shed_clients.labels(tier=tier).inc()
+                self._resilience.shed_clients[tier] += 1
                 self._log.warning("overload: shed subscriber",
                                   client_id=client_id, tier=tier,
                                   pending=pending, at=now)
@@ -328,8 +328,7 @@ class FeedServer:
                 # A stalled consumer simply doesn't drain its queue;
                 # the records stay put (and back-pressure/shedding sees
                 # the growing backlog).
-                self._resilience.faults_injected.labels(
-                    kind="serve.stall").inc()
+                self._resilience.faults_injected["serve.stall"] += 1
                 return []
         available = self.limiter.available(client_id, now)
         allowed = (max_records if available == float("inf")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -811,7 +812,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
         landed[key] = arrays
 
     def rebuild_later(key: ShardKey, reason: str) -> None:
-        metrics.worker_failures.labels(reason=reason).inc()
+        metrics.worker_failures[reason] += 1
         metrics.serial_fallbacks.inc()
         fallback.add(key)
 
@@ -831,8 +832,7 @@ def _merge_shards(config: ScenarioConfig, targets: Dict[str, TLDTargets],
                     raise  # every in-flight shard is lost; see below
                 except Exception as exc:
                     if isinstance(exc, WorkerCrashError):
-                        metrics.faults_injected.labels(
-                            kind="worker.crash").inc()
+                        metrics.faults_injected["worker.crash"] += 1
                     log.warning(f"build shard {shard_label(key)} crashed; "
                                 f"rebuilding in-process",
                                 tld=key[0], month=key[1], reason="crash")
@@ -950,9 +950,10 @@ def _build_world(config: Optional[ScenarioConfig]) -> World:
         lifecycle = registries.find_lifecycle(domain)
         return lifecycle is not None and lifecycle.in_zone_at(ts)
 
+    serials = itertools.count(1)
     cas = [CertificateAuthority(profile.name, exists,
                                 [logs[i % len(logs)]],
-                                validation_delay=5 + 5 * i)
+                                validation_delay=5 + 5 * i, serials=serials)
            for i, profile in enumerate(CA_PROFILES)]
 
     dzdb = DZDB()
@@ -1119,9 +1120,9 @@ def world_fingerprint(world: World) -> str:
 
     Covered: every lifecycle field and record timeline, CT log entries,
     CA-held DV tokens, DZDB history, and the builder's stats.  Excluded
-    by design: certificate serials and Merkle state (serials come from a
-    process-global counter, so they differ between builds in the same
-    process without any sampled value changing).
+    by design: certificate serials and Merkle state (serials number the
+    world's issuances in order, which the CT log entries already cover,
+    and Merkle state is derived from those entries).
     """
     h = hashlib.blake2b(digest_size=16)
 

@@ -15,6 +15,7 @@ from repro.ct.ctlog import CTLog
 from repro.errors import CTError, ValidationError
 from repro.simtime.clock import DAY, HOUR
 from repro.simtime.rng import RngStream
+from repro.workload.scenario import ScenarioConfig, build_world
 
 
 class TestCertificate:
@@ -184,6 +185,28 @@ class TestCertificateAuthority:
         rng = RngStream(1, "ca")
         picks = [pick_ca(rng, cas).name for _ in range(2000)]
         assert picks.count("Let's Encrypt") > picks.count("DigiCert")
+
+    def test_own_serials_start_at_one(self):
+        ca = CertificateAuthority("CA", _oracle({"a.com", "b.com"}),
+                                  [CTLog("t")])
+        serials = [ca.request_certificate(domain, 1000).certificate.serial
+                   for domain in ("a.com", "b.com")]
+        assert serials == [1, 2]
+
+    def test_serials_depend_only_on_the_world(self):
+        """Two builds of one config in one process issue the same
+        serials: the world's CAs share one counter that starts at 1."""
+        config = ScenarioConfig(seed=3, scale=1 / 20000, tlds=["com"],
+                                include_cctld=False)
+
+        def serials():
+            world = build_world(config)
+            return [entry.certificate.serial for log in world.logs
+                    for entry in log.entries()]
+
+        first = serials()
+        assert sorted(first) == list(range(1, len(first) + 1))
+        assert serials() == first
 
 
 class TestCertstream:

@@ -17,7 +17,6 @@ from repro.core.pipeline import DarkDNSPipeline
 from repro.dnscore.resolver import ResolverPool, ResolverPoolMetrics
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ObserverSuite,
@@ -42,13 +41,13 @@ _DAY = 86_400
 
 
 # --------------------------------------------------------------------------
-# Counter / Gauge primitives
+# Counter primitive
 # --------------------------------------------------------------------------
 
 class TestCounter:
 
     def test_inc_and_value(self):
-        c = Counter("hits", "help text")
+        c = Counter("hits")
         c.inc()
         c.inc(4)
         assert c.value == 5
@@ -57,55 +56,6 @@ class TestCounter:
         c = Counter("hits")
         with pytest.raises(ValueError):
             c.inc(-1)
-
-    def test_labelled_children_memoised(self):
-        c = Counter("probes", labelnames=("tld",))
-        assert c.labels("com") is c.labels(tld="com")
-        c.labels("com").inc(3)
-        c.labels("net").inc()
-        assert [(child._labelvalues, child.value)
-                for child in c.children()] == [(("com",), 3), (("net",), 1)]
-
-    def test_labelled_parent_rejects_inc(self):
-        c = Counter("probes", labelnames=("tld",))
-        with pytest.raises(ValueError):
-            c.inc()
-
-    def test_label_arity_and_names_checked(self):
-        c = Counter("probes", labelnames=("tld", "kind"))
-        with pytest.raises(ValueError):
-            c.labels("com")                       # missing one value
-        with pytest.raises(ValueError):
-            c.labels(tld="com", bogus="x")        # unknown keyword
-        with pytest.raises(ValueError):
-            c.labels("com", tld="com")            # both styles at once
-        with pytest.raises(ValueError):
-            Counter("bad", labelnames=("tld", "tld"))
-        with pytest.raises(ValueError):
-            Counter("bad", labelnames=("not ok",))
-
-    def test_unlabelled_labels_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("plain").labels("com")
-
-
-class TestGauge:
-
-    def test_set_inc_dec(self):
-        g = Gauge("depth")
-        g.set(10)
-        g.inc(5)
-        g.dec(2)
-        assert g.value == 13
-
-    def test_labelled_parent_holds_no_value(self):
-        g = Gauge("fleet", labelnames=("stat",))
-        with pytest.raises(ValueError):
-            g.set(1)
-        with pytest.raises(ValueError):
-            _ = g.value
-        g.labels("queries").set(3)
-        assert g.labels("queries").value == 3
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +156,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.register("demo", _Provider(hits=2))
         registry.register("alpha", _Provider())
-        assert registry.groups() == ["alpha", "demo"]
         assert registry.snapshot() == {"alpha": {}, "demo": {"hits": 2}}
         assert list(registry.snapshot()) == ["alpha", "demo"]
 
@@ -215,7 +164,6 @@ class TestRegistry:
         registry.register("demo", _Provider(hits=0))
         registry.register("demo", _Provider(hits=9))
         assert registry.snapshot() == {"demo": {"hits": 9}}
-        assert registry.groups() == ["demo"]
 
     def test_provider_protocol_enforced(self):
         registry = MetricsRegistry()
@@ -224,16 +172,10 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register("", _Provider())
 
-    def test_unregister(self):
-        registry = MetricsRegistry()
-        registry.register("demo", _Provider())
-        registry.unregister("demo")
-        registry.unregister("demo")        # idempotent
-        assert registry.groups() == []
-        assert registry.group("demo") is None
-
     def test_process_registry_carries_the_span_tracer(self):
-        assert get_registry().group("spans") is tracer()
+        with tracer().span("test.registry"):
+            pass
+        assert get_registry().snapshot()["spans"] == tracer().phase_totals()
 
     def test_to_json_renders_the_registry_snapshot(self):
         registry = MetricsRegistry()
@@ -344,6 +286,39 @@ class TestSpans:
             "count", "wall_sec", "peak_rss_kb", "rss_growth_kb"}
         assert t.spans[0].peak_rss_kb > 0
         assert t.spans[0].wall_sec >= 0.0
+
+    def test_phase_totals_shape(self, monkeypatch):
+        """Phases sorted; wall summed and rounded to 4 places; peak RSS a
+        max and growth a sum; ``errors`` only on a phase that raised and
+        ``sim_sec`` only on an annotated one; adopted spans aggregate
+        exactly like local ones."""
+        from types import SimpleNamespace
+        from repro.obs import spans as spans_mod
+        clock = iter([0.0, 0.123456, 1.0, 1.5, 2.0, 2.25])
+        rss = iter([1000, 1200, 1200, 1200, 1200, 1300])  # enter, exit
+        monkeypatch.setattr(spans_mod, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(spans_mod, "_peak_rss_kb", lambda: next(rss))
+        t = Tracer()
+        with pytest.raises(ValueError):
+            with t.span("z.raises"):
+                raise ValueError("boom")
+        for sim_sec in (60, 30):
+            with t.span("a.annotated") as sp:
+                sp.annotate(sim_sec=sim_sec)
+        totals = t.phase_totals()
+        assert list(totals) == ["a.annotated", "z.raises"]
+        assert totals == {
+            "a.annotated": {"count": 2, "wall_sec": 0.75,
+                            "peak_rss_kb": 1300, "rss_growth_kb": 100,
+                            "sim_sec": 90},
+            "z.raises": {"count": 1, "wall_sec": 0.1235,
+                         "peak_rss_kb": 1200, "rss_growth_kb": 200,
+                         "errors": 1},
+        }
+        adopted = Tracer()
+        assert adopted.adopt_spans(t.export_records(), worker=1) == 3
+        assert adopted.phase_totals() == totals
 
 
 # --------------------------------------------------------------------------
@@ -736,6 +711,30 @@ class TestAdaptersAndDeterminism:
             registry.register("x", provider)
             assert isinstance(provider.snapshot(), dict)
             assert json.loads(to_json(registry)) == {"x": provider.snapshot()}
+
+    def test_fresh_resilience_snapshot_has_all_ten_keys(self):
+        from repro.resilience.metrics import ResilienceMetrics
+        keyed = ("faults_injected", "worker_failures",
+                 "breaker_transitions", "shed_clients")
+        plain = ("serial_fallbacks", "breaker_skips", "torn_lines",
+                 "records_salvaged", "segments_quarantined",
+                 "rejected_lines")
+        expected = {f"resilience_{name}_total": {} for name in keyed}
+        expected.update({f"resilience_{name}_total": 0 for name in plain})
+        assert ResilienceMetrics().snapshot() == expected
+
+    def test_keyed_resilience_counts_render_sorted(self):
+        from repro.resilience.metrics import ResilienceMetrics
+        metrics = ResilienceMetrics()
+        metrics.faults_injected["scan.timeout"] += 1
+        metrics.faults_injected["log.torn_write"] += 2
+        metrics.serial_fallbacks.inc()
+        snap = metrics.snapshot()
+        faults = snap["resilience_faults_injected_total"]
+        assert list(faults.items()) == [("log.torn_write", 2),
+                                        ("scan.timeout", 1)]
+        assert snap["resilience_serial_fallbacks_total"] == 1
+        assert snap["resilience_worker_failures_total"] == {}
 
     def test_fingerprint_identical_with_tracing_disabled(self, tiny_world):
         """Instrumentation must never perturb a sampled value."""

@@ -223,14 +223,6 @@ class TestCircuitBreaker:
         assert br.allow(13)
         assert not br.allow(13)  # only half_open_probes in flight
 
-    def test_error_rate_trip(self):
-        cfg = BreakerConfig(failure_threshold=100,
-                            error_rate_threshold=0.5, window=10)
-        br = CircuitBreaker(cfg)
-        for t in range(20):
-            br.record_failure(t) if t % 2 else br.record_success(t)
-        assert br.state == "open"
-
     def test_transition_counts_and_hook(self):
         seen = []
         br = CircuitBreaker(self.CFG)
@@ -247,8 +239,6 @@ class TestCircuitBreaker:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             BreakerConfig(failure_threshold=0)
-        with pytest.raises(ConfigError):
-            BreakerConfig(error_rate_threshold=1.5)
         with pytest.raises(ConfigError):
             BreakerConfig(cooldown=-1)
 
