@@ -65,7 +65,7 @@ from repro.obs.profiler import SamplingProfiler
 from repro.scan import ProbeResultStore, ScanConfig, ScanEngine
 from repro.serve import FeedServer, FeedServerConfig, FilterSpec
 from repro.simtime.clock import DAY, Window, parse_duration
-from repro.simtime.rng import spawn
+from repro.simtime.rng import WeightedSampler, spawn
 from repro.workload.scenario import ScenarioConfig, build_world
 from repro.workload.scenarios import iter_scenarios, parse_scenario_spec
 
@@ -262,10 +262,10 @@ def _register_serve_clients(server: FeedServer, args: argparse.Namespace,
     subset, or source-restricted) and a tier from the run's seed.
     """
     rng = spawn(args.seed, "serve", "clients")
+    tiers = WeightedSampler(["free", "standard", "premium"], [0.3, 0.5, 0.2])
     for i in range(args.clients):
         client_id = f"client-{i:04d}"
-        tier = rng.weighted_choice(["free", "standard", "premium"],
-                                   [0.3, 0.5, 0.2])
+        tier = tiers.pick(rng)
         if args.filters:
             spec = FilterSpec.parse(args.filters[i % len(args.filters)])
         else:

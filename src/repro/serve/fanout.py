@@ -13,12 +13,14 @@ itself from dead consumers that never poll.
 
 A client is hashed to its shard once, when it is added: the dispatcher
 keeps a route table ``client_id -> (shard, queue)``, and every
-delivery, poll and pending-count reads it, so the per-record cost is a
-dict lookup per matched client, not a hash.
+delivery, poll round and pending-count reads it, so the per-record cost
+is a dict lookup per matched client, not a hash.
 
 The shards here are cooperative (no threads): ``dispatch()`` routes one
-published record to every matching subscription's queue, and clients
-drain with ``poll()``.  What matters for the reproduction is the
+published record to every matching subscription's queue, and the
+server's poll round (:meth:`FeedServer.drain_all
+<repro.serve.server.FeedServer.drain_all>`) drains the queues through
+the route table.  What matters for the reproduction is the
 *accounting* — queue bounds, drop/eviction semantics, per-shard load —
 which is exactly what the benchmark measures.
 """
@@ -64,14 +66,18 @@ class ClientQueue:
         self.queue.append(record)
         return not dropped
 
-    def drain(self, max_records: int) -> List[FeedRecord]:
-        """Take up to ``max_records`` records off the front, oldest first."""
-        out = [self.queue.popleft()
-               for _ in range(min(len(self.queue), max_records))]
-        if out:
-            self.consecutive_drops = 0
-            self.delivered += len(out)
-        return out
+    def take(self, n: int) -> List[FeedRecord]:
+        """Deliver up to ``n`` pending records, oldest first."""
+        queue = self.queue
+        if n >= len(queue):
+            batch = list(queue)
+            queue.clear()
+        else:
+            popleft = queue.popleft
+            batch = [popleft() for _ in range(n)]
+        self.consecutive_drops = 0
+        self.delivered += len(batch)
+        return batch
 
 
 class FanoutShard:
@@ -112,9 +118,8 @@ class FanoutDispatcher:
         self.shards = [FanoutShard(i, max_queue_depth, evict_after_drops)
                        for i in range(shards)]
         #: client id -> (its shard, its queue), resolved once on add.
-        self._routes: Dict[str, Tuple[FanoutShard, ClientQueue]] = {}
-        #: Sorted active client ids; None after a membership change.
-        self._sorted: Optional[Tuple[str, ...]] = None
+        #: The server's poll round reads it; only this class writes it.
+        self.routes: Dict[str, Tuple[FanoutShard, ClientQueue]] = {}
         self._evicted: set = set()
 
     # -- membership -----------------------------------------------------------
@@ -123,24 +128,27 @@ class FanoutDispatcher:
         self._evicted.discard(client_id)
         shard = self.shards[stable_bucket(client_id, len(self.shards),
                                           SHARD_SALT)]
-        self._routes[client_id] = (shard, shard.add_client(client_id))
-        self._sorted = None
+        self.routes[client_id] = (shard, shard.add_client(client_id))
 
     def remove_client(self, client_id: str) -> None:
-        route = self._routes.pop(client_id, None)
+        route = self.routes.pop(client_id, None)
         if route is not None:
             route[0].remove_client(client_id)
-            self._sorted = None
         self._evicted.discard(client_id)
 
     def is_evicted(self, client_id: str) -> bool:
         return client_id in self._evicted
 
-    def active_clients(self) -> Tuple[str, ...]:
-        """Active client ids, sorted (cached until membership changes)."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._routes))
-        return self._sorted
+    def route(self, client_id: str) -> Tuple[FanoutShard, ClientQueue]:
+        """One active client's (shard, queue); raises for an evicted or
+        unknown id."""
+        route = self.routes.get(client_id)
+        if route is None:
+            if client_id in self._evicted:
+                raise EvictedClientError(
+                    f"client {client_id!r} was evicted as a slow consumer")
+            raise UnknownClientError(f"no queue for client {client_id!r}")
+        return route
 
     # -- delivery -------------------------------------------------------------
 
@@ -152,9 +160,9 @@ class FanoutDispatcher:
         queue (evicted or removed) are skipped.  Returns the ids this
         call evicted: clients whose queue overflowed past the eviction
         threshold are dropped from their shard and remembered so
-        ``poll`` can tell them why.
+        :meth:`route` can tell them why.
         """
-        routes = self._routes
+        routes = self.routes
         evicted: List[str] = []
         for client_id in client_ids:
             route = routes.get(client_id)
@@ -171,31 +179,12 @@ class FanoutDispatcher:
                     evicted.append(client_id)
         return evicted
 
-    def poll(self, client_id: str, now: int,
-             max_records: int = 100) -> List[FeedRecord]:
-        """Drain up to ``max_records`` pending deliveries for a client."""
-        route = self._routes.get(client_id)
-        if route is None:
-            if client_id in self._evicted:
-                raise EvictedClientError(
-                    f"client {client_id!r} was evicted as a slow consumer")
-            raise UnknownClientError(f"no queue for client {client_id!r}")
-        queue = route[1]
-        self.metrics.queue_depth.observe(len(queue.queue))
-        batch = queue.drain(max_records)
-        if batch:
-            self.metrics.delivered.inc(len(batch))
-            observe = self.metrics.delivery_lag.observe
-            for record in batch:
-                observe(max(0, now - record.seen_at))
-        return batch
-
     def pending(self, client_id: Optional[str] = None) -> int:
         """Undelivered records: one client's queue, or all queues."""
         if client_id is not None:
-            route = self._routes.get(client_id)
+            route = self.routes.get(client_id)
             return len(route[1].queue) if route is not None else 0
-        return sum(len(queue.queue) for _, queue in self._routes.values())
+        return sum(len(queue.queue) for _, queue in self.routes.values())
 
     def delivered_counts(self) -> Dict[str, int]:
         """client id -> records delivered so far (active clients only)."""

@@ -57,6 +57,17 @@ class TokenBucket:
                           * self.policy.rate)
         self.last_refill = now
 
+    def allowance(self, now: int, cap: int) -> int:
+        """Refill to ``now``; how many of ``cap`` deliveries the balance
+        covers (whole tokens only)."""
+        self.refill(now)
+        tokens = self.tokens
+        return cap if tokens >= cap else int(tokens)
+
+    def spend(self, n: int) -> None:
+        """Charge ``n`` deliveries that :meth:`allowance` covered."""
+        self.tokens -= n
+
     def try_spend(self, now: int, n: float = 1.0) -> bool:
         """Spend ``n`` tokens if available; False means rate-limited."""
         self.refill(now)
@@ -71,7 +82,8 @@ class RateLimiter:
 
     def __init__(self, tiers: Dict[str, TierPolicy] = None) -> None:
         self.tiers = dict(DEFAULT_TIERS if tiers is None else tiers)
-        self._buckets: Dict[str, TokenBucket] = {}
+        #: client id -> bucket; the server's poll round charges it.
+        self.buckets: Dict[str, TokenBucket] = {}
 
     def register(self, client_id: str, tier: str, now: int = 0) -> TokenBucket:
         policy = self.tiers.get(tier)
@@ -79,24 +91,8 @@ class RateLimiter:
             raise ServeError(f"unknown tier {tier!r} "
                              f"(have {sorted(self.tiers)})")
         bucket = TokenBucket(policy, now)
-        self._buckets[client_id] = bucket
+        self.buckets[client_id] = bucket
         return bucket
 
     def forget(self, client_id: str) -> None:
-        self._buckets.pop(client_id, None)
-
-    def allow(self, client_id: str, now: int, n: float = 1.0) -> bool:
-        """Charge ``n`` deliveries to the client; unknown clients pass
-        (the fan-out layer, not the limiter, owns membership)."""
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            return True
-        return bucket.try_spend(now, n)
-
-    def available(self, client_id: str, now: int) -> float:
-        """Current token balance (refilled to ``now``)."""
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            return float("inf")
-        bucket.refill(now)
-        return bucket.tokens
+        self.buckets.pop(client_id, None)

@@ -14,7 +14,8 @@ Driving model (cooperative, deterministic — no threads):
 * ``replay(path)`` ingests a JSONL archive instead;
 * clients call ``poll(client_id, now)`` to drain their queue, paying
   rate-limit tokens per delivered record;
-* ``drain_all(now)`` polls every client once, as the CLI/bench driver.
+* ``drain_all(now)`` polls every client once, in one batched pass over
+  the route table, as the CLI/bench driver.
 
 ``snapshot()`` returns the metrics dict the acceptance criteria and
 benchmarks print.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.bus.broker import Broker, TOPIC_FEED
 from repro.core.feed import FeedRecord, read_jsonl_records
@@ -316,40 +317,71 @@ class FeedServer:
              max_records: int = 100) -> List[FeedRecord]:
         """Drain one client's queue, spending rate-limit tokens.
 
-        The batch is clamped to the client's current token balance; a
-        poll clamped to zero counts one ``dropped_rate_limited`` (the
-        records stay queued — limiting defers, it does not discard).
+        The :meth:`drain_all` round run over one client; returns the
+        records delivered, oldest first.  An evicted or unknown client
+        raises before anything else happens.
+        """
+        return self._round(((client_id, self.fanout.route(client_id)),),
+                           now, max_records)
+
+    def drain_all(self, now: int, max_records: int = 100) -> int:
+        """Poll every active client once; returns records delivered."""
+        return len(self._round(self.fanout.routes.items(), now,
+                               max_records))
+
+    def _round(self, routes: Iterable[Tuple[str, tuple]], now: int,
+               max_records: int) -> List[FeedRecord]:
+        """One poll round over ``(client_id, (shard, queue))`` routes.
+
+        Per client, in this order: a ``serve.stall`` fault skips it
+        untouched; its bucket is refilled to ``now`` (empty queue or
+        not: the clock may go back, as the CLI's final drain does, and
+        a skipped refill would then change what a later poll finds);
+        a bucket under one token defers the queue (one
+        ``dropped_rate_limited`` if anything is pending) and observes no
+        depth; otherwise the queue's depth is observed and up to
+        ``min(max_records, tokens)`` records leave it, charged to the
+        bucket at once.  The metrics are updated once per round; every
+        value is the same as per-client polls in any order give, since
+        depths and lags are integers.  Returns the records delivered.
         """
         plan = self.config.fault_plan
-        if plan is not None and plan.wants("serve.stall"):
-            spec = plan.fires("serve.stall", client_id, str(now),
-                              target=client_id, at=now)
-            if spec is not None:
+        stall = plan is not None and plan.wants("serve.stall")
+        buckets = self.limiter.buckets
+        taken: List[FeedRecord] = []
+        depths: List[int] = []
+        empty = limited = 0
+        for client_id, (_, queue) in routes:
+            if stall and plan.fires("serve.stall", client_id, str(now),
+                                    target=client_id, at=now) is not None:
                 # A stalled consumer simply doesn't drain its queue;
                 # the records stay put (and back-pressure/shedding sees
                 # the growing backlog).
                 self._resilience.faults_injected["serve.stall"] += 1
-                return []
-        available = self.limiter.available(client_id, now)
-        allowed = (max_records if available == float("inf")
-                   else min(max_records, int(available)))
-        if allowed <= 0:
-            if self.fanout.pending(client_id):
-                # Only count polls that actually deferred records.
-                self.metrics.dropped_rate_limited.inc()
-            return []
-        batch = self.fanout.poll(client_id, now, max_records=allowed)
-        if batch:
-            self.limiter.allow(client_id, now, n=len(batch))
-        return batch
-
-    def drain_all(self, now: int, max_records: int = 100) -> int:
-        """Poll every active client once; returns records delivered."""
-        delivered = 0
-        for client_id in self.fanout.active_clients():
-            delivered += len(self.poll(client_id, now,
-                                       max_records=max_records))
-        return delivered
+                continue
+            bucket = buckets.get(client_id)
+            allowed = (max_records if bucket is None
+                       else bucket.allowance(now, max_records))
+            depth = len(queue.queue)
+            if allowed <= 0:
+                if depth:
+                    limited += 1
+                continue
+            if not depth:
+                empty += 1
+                continue
+            depths.append(depth)
+            batch = queue.take(allowed)
+            taken += batch
+            if bucket is not None:
+                bucket.spend(len(batch))
+        metrics = self.metrics
+        metrics.delivered.inc(len(taken))
+        metrics.dropped_rate_limited.inc(limited)
+        metrics.queue_depth.observe_many(depths, zeros=empty)
+        metrics.delivery_lag.observe_many(
+            [now - r.seen_at if r.seen_at < now else 0 for r in taken])
+        return taken
 
     def drain_until_empty(self, now: int, max_rounds: int = 1000,
                           tick: int = 1) -> int:

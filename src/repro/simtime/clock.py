@@ -11,6 +11,7 @@ from __future__ import annotations
 import calendar
 import datetime as _dt
 import re
+import time
 from dataclasses import dataclass
 
 from repro.errors import ClockError, ConfigError
@@ -77,7 +78,9 @@ def to_datetime(ts: int) -> _dt.datetime:
 
 def isoformat(ts: int) -> str:
     """Render a timestamp as ``YYYY-MM-DDTHH:MM:SSZ``."""
-    return to_datetime(ts).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # What to_datetime(ts).strftime(...) gives (datetime formats through
+    # time.strftime too), without building the datetime.
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
 
 
 def day_floor(ts: int) -> int:

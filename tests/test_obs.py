@@ -137,6 +137,59 @@ class TestHistogramQuantile:
 
 
 # --------------------------------------------------------------------------
+# Histogram bulk path: observe_many equals one observe per value
+# --------------------------------------------------------------------------
+
+def _state(h):
+    """Everything a histogram reports; ``repr`` tells 5 from 5.0."""
+    return repr((h.buckets, h.count, h.total, h.max, h.snapshot()))
+
+
+class TestHistogramBulk:
+    @given(batches=st.lists(
+               st.tuples(st.lists(st.integers(-5, 3 * _DAY), max_size=40),
+                         st.integers(0, 20)),
+               max_size=6),
+           bounds=st.sets(st.sampled_from([0, 1, 5, 10, 60, 3600, _DAY]),
+                          min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_observe_per_value(self, batches, bounds):
+        bulk = Histogram("bulk", bounds=sorted(bounds))
+        each = Histogram("each", bounds=sorted(bounds))
+        for values, zeros in batches:
+            bulk.observe_many(values, zeros=zeros)
+            for value in values + [0] * zeros:
+                each.observe(value)
+        assert _state(bulk) == _state(each)
+
+    def test_empty_input_changes_nothing(self):
+        h = Histogram("h", bounds=(1, 10))
+        fresh = _state(h)
+        h.observe_many([])
+        h.observe_many((), zeros=0)
+        assert _state(h) == fresh
+
+    def test_zeros_alone(self):
+        bulk, each = Histogram("b", bounds=(1, 8)), Histogram("e", (1, 8))
+        bulk.observe_many([], zeros=3)
+        for _ in range(3):
+            each.observe(0)
+        assert bulk.buckets == [3, 0, 0]
+        assert _state(bulk) == _state(each)
+
+    def test_overflow_bucket_and_edges(self):
+        bulk, each = Histogram("b", bounds=(1, 8)), Histogram("e", (1, 8))
+        values = [8, 1, 9, 0, 1000, 7]
+        bulk.observe_many(values, zeros=2)
+        for value in values + [0, 0]:
+            each.observe(value)
+        # An edge value lands above its bound, as observe() puts it.
+        assert bulk.buckets == [3, 2, 3]
+        assert bulk.max == 1000
+        assert _state(bulk) == _state(each)
+
+
+# --------------------------------------------------------------------------
 # Registry
 # --------------------------------------------------------------------------
 

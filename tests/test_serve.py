@@ -30,6 +30,8 @@ from repro.serve import (
     TierPolicy,
     TokenBucket,
 )
+from repro.resilience.faults import FaultPlan
+from repro.resilience.metrics import get_resilience_metrics
 from repro.serve.fanout import SHARD_SALT
 from repro.simtime.rng import stable_bucket
 from repro.workload.scenario import ScenarioConfig, build_world
@@ -226,18 +228,18 @@ class TestFanout:
         ids = [f"c{i}" for i in range(40)]
         for client_id in ids:
             dispatcher.add_client(client_id)
-        assert sorted(dispatcher.active_clients()) == sorted(ids)
+        assert sorted(dispatcher.routes) == sorted(ids)
         assert sum(len(s) for s in dispatcher.shards) == 40
         # every shard should get some clients at this population
         assert all(len(s) > 0 for s in dispatcher.shards)
 
     def test_dispatch_and_poll(self):
-        dispatcher = FanoutDispatcher(shards=2)
-        dispatcher.add_client("a")
-        assert dispatcher.dispatch(record(), ["a"]) == []  # none evicted
-        got = dispatcher.poll("a", now=2000)
+        server = FeedServer(config=FeedServerConfig(shards=2))
+        server.subscribe("a", None)
+        assert server.fanout.dispatch(record(), ["a"]) == []  # none evicted
+        got = server.poll("a", now=2000)
         assert len(got) == 1
-        assert dispatcher.metrics.delivered.value == 1
+        assert server.metrics.delivered.value == 1
 
     def test_queue_bound_drops_oldest(self):
         dispatcher = FanoutDispatcher(shards=1, max_queue_depth=3,
@@ -245,7 +247,7 @@ class TestFanout:
         dispatcher.add_client("slow")
         for i in range(5):
             dispatcher.dispatch(record(i), ["slow"])
-        got = dispatcher.poll("slow", now=2000, max_records=10)
+        got = dispatcher.route("slow")[1].queue
         # oldest two were dropped; the three newest survive
         assert [r.domain for r in got] == ["d2.com", "d3.com", "d4.com"]
         assert dispatcher.metrics.dropped_queue_full.value == 2
@@ -259,21 +261,23 @@ class TestFanout:
         assert dispatcher.is_evicted("dead")
         assert dispatcher.metrics.evicted_clients.value == 1
         with pytest.raises(EvictedClientError):
-            dispatcher.poll("dead", now=2000)
+            dispatcher.route("dead")
 
     def test_draining_resets_drop_streak(self):
-        dispatcher = FanoutDispatcher(shards=1, max_queue_depth=2,
-                                      evict_after_drops=4)
-        dispatcher.add_client("spiky")
+        server = FeedServer(config=FeedServerConfig(
+            shards=1, max_queue_depth=2, evict_after_drops=4))
+        server.subscribe("spiky", None)
         for burst in range(5):
             for i in range(5):  # 3 drops per burst, under the threshold
-                dispatcher.dispatch(record(i), ["spiky"])
-            dispatcher.poll("spiky", now=2000, max_records=10)
-        assert not dispatcher.is_evicted("spiky")
+                server.fanout.dispatch(record(i), ["spiky"])
+            server.poll("spiky", now=2000, max_records=10)
+        assert not server.fanout.is_evicted("spiky")
 
     def test_poll_unknown_client(self):
         with pytest.raises(UnknownClientError):
-            FanoutDispatcher().poll("nobody", now=0)
+            FanoutDispatcher().route("nobody")
+        with pytest.raises(UnknownClientError):
+            FeedServer().poll("nobody", now=0)
 
     def test_invalid_shard_count(self):
         with pytest.raises(ServeError):
@@ -299,17 +303,23 @@ class TestRateLimit:
 
     def test_limiter_accounts_per_client(self):
         limiter = RateLimiter({"slow": TierPolicy("slow", 1.0, 2.0)})
-        limiter.register("a", "slow", now=0)
-        assert limiter.allow("a", now=0) and limiter.allow("a", now=0)
-        assert not limiter.allow("a", now=0)
-        assert limiter.allow("a", now=1)     # one second, one token
-        assert limiter.available("a", now=1) == 0.0
+        bucket = limiter.register("a", "slow", now=0)
+        assert limiter.buckets == {"a": bucket}
+        assert bucket.allowance(0, cap=5) == 2   # the burst, capped
+        bucket.spend(2)
+        assert bucket.allowance(0, cap=5) == 0
+        assert bucket.allowance(1, cap=5) == 1   # one second, one token
+        assert bucket.allowance(1, cap=0) == 0
+        bucket.spend(1)
+        assert bucket.tokens == 0.0
+        assert bucket.allowance(0, cap=5) == 0   # no refill backwards
 
     def test_unknown_tier_and_unregistered_client(self):
         limiter = RateLimiter()
         with pytest.raises(ServeError):
             limiter.register("a", "gold")
-        assert limiter.allow("stranger", now=0)  # membership not enforced
+        limiter.forget("stranger")               # membership not enforced
+        assert limiter.buckets == {}
 
     def test_invalid_policy(self):
         with pytest.raises(ServeError):
@@ -353,7 +363,7 @@ class TestFeedServer:
         server = FeedServer(broker=self.feed_broker(20))
         server.subscribe("tiny", None, tier="free", now=1000)
         server.pump()
-        server.limiter._buckets["tiny"].tokens = 3.0
+        server.limiter.buckets["tiny"].tokens = 3.0
         got = server.poll("tiny", now=1000, max_records=100)
         assert len(got) == 3
         assert server.poll("tiny", now=1000) == []
@@ -423,7 +433,7 @@ class TestFeedServer:
     def test_idle_rate_limited_poll_not_counted(self):
         server = FeedServer()
         server.subscribe("idle", None, tier="free", now=0)
-        server.limiter._buckets["idle"].tokens = 0.0
+        server.limiter.buckets["idle"].tokens = 0.0
         assert server.poll("idle", now=0) == []  # nothing pending
         assert server.metrics.dropped_rate_limited.value == 0
         server.ingest(record(0, seen_at=0))
@@ -509,11 +519,13 @@ def reference_accepts(spec, r):
 
 
 class ReferenceServer:
-    """The serve path without a route table or match memo.
+    """The serve path without a route table, match memo or batched round.
 
     Each record is tested against every TLD-indexed and wildcard
     subscriber's whole filter, and every delivery, poll and pending
-    count hashes the client to its shard again.
+    count hashes the client to its shard again.  ``drain_all`` polls
+    the clients one at a time, in sorted order, observing every queue
+    depth and delivery lag on its own.
     """
 
     def __init__(self, config):
@@ -528,6 +540,7 @@ class ReferenceServer:
         self.shards = [{} for _ in range(config.shards)]
         self.routed = [0] * config.shards
         self.evicted = set()
+        self.stalls = 0
 
     def queue(self, client_id):
         index = stable_bucket(client_id, len(self.shards), SHARD_SALT)
@@ -623,18 +636,24 @@ class ReferenceServer:
                 self.metrics.shed_clients.inc()
 
     def poll(self, client_id, now, max_records):
-        available = self.limiter.available(client_id, now)
-        allowed = (max_records if available == float("inf")
-                   else min(max_records, int(available)))
-        if allowed <= 0:
-            if self.pending(client_id):
-                self.metrics.dropped_rate_limited.inc()
-            return []
         _, entry = self.queue(client_id)
         if entry is None:
             if client_id in self.evicted:
                 raise EvictedClientError(client_id)
             raise UnknownClientError(client_id)
+        plan = self.config.fault_plan
+        if plan is not None and plan.fires("serve.stall", client_id,
+                                           str(now), target=client_id,
+                                           at=now):
+            self.stalls += 1
+            return []
+        bucket = self.limiter.buckets[client_id]
+        bucket.refill(now)
+        allowed = min(max_records, int(bucket.tokens))
+        if allowed <= 0:
+            if self.pending(client_id):
+                self.metrics.dropped_rate_limited.inc()
+            return []
         self.metrics.queue_depth.observe(len(entry[0]))
         out = []
         while entry[0] and len(out) < allowed:
@@ -646,7 +665,7 @@ class ReferenceServer:
             self.metrics.delivered.inc()
             self.metrics.delivery_lag.observe(max(0, now - r.seen_at))
         if out:
-            self.limiter.allow(client_id, now, n=len(out))
+            assert bucket.try_spend(now, len(out))
         return out
 
     def drain_all(self, now):
@@ -699,12 +718,22 @@ operations = st.lists(st.one_of(
               st.integers(0, 5)),
     st.tuples(st.just("poll"), st.sampled_from(EQUIV_CLIENTS),
               st.integers(0, 4)),
-    st.tuples(st.just("drain_all"))), min_size=20, max_size=80)
+    st.tuples(st.just("drain_all")),
+    # A round at an earlier clock than the rounds before it, as the
+    # CLI's final drain at the last ingest time runs after run_live.
+    st.tuples(st.just("drain_earlier"), st.integers(1, 30))),
+    min_size=20, max_size=80)
+#: Stall plans: none, some of every client's polls, every poll of some
+#: clients, and a stall that starts mid-run.
+STALL_PLANS = (None, "seed=1;serve.stall:rate=0.3",
+               "seed=2;serve.stall:rate=1.0,target=c[024]",
+               "seed=3;serve.stall:rate=0.5,start=20")
 configs = st.builds(
     FeedServerConfig, shards=st.integers(1, 3),
     max_queue_depth=st.integers(1, 4), evict_after_drops=st.integers(1, 3),
     shed_pending_threshold=st.one_of(st.none(), st.integers(1, 6)),
-    tiers=st.just(EQUIV_TIERS))
+    tiers=st.just(EQUIV_TIERS),
+    fault_plan=st.sampled_from(STALL_PLANS).map(FaultPlan.parse))
 
 
 def outcome(call):
@@ -721,6 +750,8 @@ class TestReferenceEquivalence:
            more_ops=operations)
     def test_server_matches_reference(self, config, ops, more_ops):
         server, model = FeedServer(config=config), ReferenceServer(config)
+        faults = get_resilience_metrics().faults_injected
+        stalls_before = faults["serve.stall"]
         for clock, (op, *args) in enumerate(ops + more_ops):
             if op == "subscribe":
                 client_id, spec, tier, since = args
@@ -743,8 +774,11 @@ class TestReferenceEquivalence:
                 got = outcome(lambda: server.poll(args[0], clock,
                                                   max_records=args[1]))
                 want = outcome(lambda: model.poll(args[0], clock, args[1]))
-            else:
+            elif op == "drain_all":
                 got, want = server.drain_all(clock), model.drain_all(clock)
+            else:
+                earlier = max(0, clock - args[0])
+                got, want = server.drain_all(earlier), model.drain_all(earlier)
             assert got == want, (op, args)
             assert server.client_count == len(model.subs)
         queues = {c: list(q.queue) for shard in server.fanout.shards
@@ -756,6 +790,7 @@ class TestReferenceEquivalence:
         assert server.metrics.snapshot() == model.metrics.snapshot()
         assert all(server.fanout.is_evicted(c) == (c in model.evicted)
                    for c in EQUIV_CLIENTS)
+        assert faults["serve.stall"] - stalls_before == model.stalls
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for repro.simtime.clock."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, ConfigError
 from repro.simtime.clock import (
@@ -67,6 +69,11 @@ class TestCalendar:
     def test_isoformat_roundtrip(self):
         ts = utc(2023, 11, 15, 12, 30, 45)
         assert isoformat(ts) == "2023-11-15T12:30:45Z"
+
+    @given(st.integers(-2 * 10**9, 253_402_300_799))
+    def test_isoformat_matches_datetime(self, ts):
+        assert isoformat(ts) == to_datetime(ts).strftime(
+            "%Y-%m-%dT%H:%M:%SZ")
 
     def test_day_floor(self):
         ts = utc(2023, 11, 15, 13, 22)
