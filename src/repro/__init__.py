@@ -3,7 +3,7 @@ Update* (Sommese et al., IMC 2024) over a simulated DNS ecosystem.
 
 The package builds, from scratch, every substrate the paper's
 measurement pipeline touched — TLD registries with live zone
-provisioning, certificate authorities logging to Merkle-tree CT logs,
+provisioning, certificate authorities logging to append-only CT logs,
 a CZDS-style snapshot archive, RDAP services, blocklists and a
 passive-DNS NOD feed — then runs the paper's five-step DarkDNS pipeline
 against that world and regenerates every table and figure.

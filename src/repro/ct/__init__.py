@@ -1,17 +1,7 @@
-"""Certificate Transparency substrate: certs, Merkle trees, logs, CAs, feed."""
+"""Certificate Transparency substrate: certs, logs, CAs, the Certstream feed."""
 
 from repro.ct.certificate import Certificate, MAX_VALIDITY, make_precert
-from repro.ct.merkle import (
-    MerkleTree,
-    consistency_proof,
-    inclusion_proof,
-    leaf_hash,
-    node_hash,
-    root_of,
-    verify_consistency,
-    verify_inclusion,
-)
-from repro.ct.ctlog import CTLog, LogEntry, SignedTreeHead
+from repro.ct.ctlog import CTLog, LogEntry
 from repro.ct.ca import (
     CA_PROFILES,
     CAProfile,
@@ -25,10 +15,7 @@ from repro.ct.certstream import CertstreamEvent, CertstreamFeed
 
 __all__ = [
     "Certificate", "make_precert", "MAX_VALIDITY",
-    "MerkleTree", "leaf_hash", "node_hash", "root_of",
-    "inclusion_proof", "verify_inclusion",
-    "consistency_proof", "verify_consistency",
-    "CTLog", "LogEntry", "SignedTreeHead",
+    "CTLog", "LogEntry",
     "CertificateAuthority", "CAProfile", "CA_PROFILES",
     "DVToken", "DV_TOKEN_VALIDITY", "IssuanceRecord", "pick_ca",
     "CertstreamEvent", "CertstreamFeed",

@@ -9,7 +9,7 @@ to appear before the certificate is used).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.dnscore import name as dnsname
 from repro.dnscore.interned import Name
@@ -81,15 +81,6 @@ class Certificate:
     @property
     def validity(self) -> int:
         return self.not_after - self.not_before
-
-    def leaf_bytes(self) -> bytes:
-        """Canonical encoding hashed into the CT Merkle tree."""
-        payload = "|".join([
-            str(self.serial), self.common_name, ",".join(self.sans),
-            self.issuer, str(self.not_before), str(self.not_after),
-            "pre" if self.is_precert else "final",
-        ])
-        return payload.encode("utf-8")
 
 
 def make_precert(serial: int, domain: str, issuer: str, issued_at: int,

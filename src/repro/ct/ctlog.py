@@ -1,28 +1,31 @@
 """Certificate Transparency logs.
 
-A :class:`CTLog` is an append-only Merkle tree of (pre)certificates with
-signed-tree-head snapshots.  Entries carry the *log* timestamp (when the
-log incorporated the precert), which trails issuance by the log's merge
-delay — one component of the detection latency the paper measures.
+A :class:`CTLog` is an append-only sequence of precertificates.  Entries
+carry the *log* timestamp (when the log incorporated the precert), which
+trails issuance by the log's merge delay — one component of the
+detection latency the paper measures.
 
 Neither precertificates nor CT logs expose a reliable "insert" wall
 clock to stream consumers, which is why the paper uses the
 Certstream-reported receive time (§4.1 footnote 4); the feed model in
-:mod:`repro.ct.certstream` adds that last hop.
+:mod:`repro.ct.certstream` adds that last hop.  The method never checks
+an inclusion proof, so a log keeps no Merkle tree: only what Certstream
+and the world fingerprint read, each entry's log time and certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from array import array
+from itertools import count
+from typing import Iterator, List
 
 from repro.ct.certificate import Certificate
-from repro.ct.merkle import MerkleTree, verify_inclusion
-from repro.errors import CTError, MerkleError
+from repro.errors import CTError
 
 
 class LogEntry:
-    """One incorporated precertificate (slots: millions per log at scale)."""
+    """One incorporated precertificate, built on demand from the log's
+    columns: paper-scale logs keep no object per entry."""
 
     __slots__ = ("index", "logged_at", "certificate")
 
@@ -32,83 +35,39 @@ class LogEntry:
         self.logged_at = logged_at
         self.certificate = certificate
 
-    @property
-    def domains(self) -> List[str]:
-        return self.certificate.dns_names()
-
-
-@dataclass(frozen=True)
-class SignedTreeHead:
-    """An STH: tree size + root hash at a point in time."""
-
-    log_id: str
-    tree_size: int
-    timestamp: int
-    root_hash: bytes
-
 
 class CTLog:
-    """An RFC 6962 log with a fixed merge delay."""
+    """A CT log with a fixed merge delay.
+
+    Stored as two parallel columns — log times in an ``array('q')`` and
+    the certificates in a list — so an entry's index is its position.
+    """
 
     def __init__(self, log_id: str, merge_delay: int = 30) -> None:
         if merge_delay < 0:
             raise CTError("merge delay cannot be negative")
         self.log_id = log_id
         self.merge_delay = merge_delay
-        self._tree = MerkleTree()
-        self._entries: List[LogEntry] = []
+        self._logged_at = array("q")
+        self._certificates: List[Certificate] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._certificates)
 
     def submit(self, certificate: Certificate, submitted_at: int) -> LogEntry:
         """Submit a precert; it is incorporated after the merge delay."""
         if not certificate.is_precert:
             raise CTError("logs in this simulation accept only precertificates")
+        times = self._logged_at
         logged_at = submitted_at + self.merge_delay
-        if self._entries and logged_at < self._entries[-1].logged_at:
+        if times and logged_at < times[-1]:
             # Logs serialise incorporation; respect monotone order.
-            logged_at = self._entries[-1].logged_at
-        index = self._tree.append(certificate.leaf_bytes())
-        entry = LogEntry(index=index, logged_at=logged_at, certificate=certificate)
-        self._entries.append(entry)
-        return entry
+            logged_at = times[-1]
+        index = len(times)
+        times.append(logged_at)
+        self._certificates.append(certificate)
+        return LogEntry(index, logged_at, certificate)
 
-    def entry(self, index: int) -> LogEntry:
-        try:
-            return self._entries[index]
-        except IndexError:
-            raise CTError(f"{self.log_id} has no entry {index}") from None
-
-    def entries(self, start: int = 0, end: Optional[int] = None) -> Iterator[LogEntry]:
-        yield from self._entries[start:end]
-
-    def entries_logged_in(self, start_ts: int, end_ts: int) -> List[LogEntry]:
-        return [e for e in self._entries if start_ts <= e.logged_at < end_ts]
-
-    def sth(self, at: Optional[int] = None) -> SignedTreeHead:
-        """Current STH (or the STH as of time ``at``)."""
-        if at is None:
-            size = len(self._entries)
-            ts = self._entries[-1].logged_at if self._entries else 0
-        else:
-            size = sum(1 for e in self._entries if e.logged_at <= at)
-            ts = at
-        return SignedTreeHead(log_id=self.log_id, tree_size=size,
-                              timestamp=ts, root_hash=self._tree.root(size))
-
-    def prove_inclusion(self, index: int,
-                        tree_size: Optional[int] = None) -> List[bytes]:
-        return self._tree.prove_inclusion(index, tree_size)
-
-    def verify_entry(self, entry: LogEntry, sth: SignedTreeHead,
-                     proof: Sequence[bytes]) -> bool:
-        """Check an inclusion proof against an STH of this log."""
-        if sth.log_id != self.log_id:
-            return False
-        return verify_inclusion(entry.certificate.leaf_bytes(), entry.index,
-                                sth.tree_size, proof, sth.root_hash)
-
-    def prove_consistency(self, old_size: int,
-                          new_size: Optional[int] = None) -> List[bytes]:
-        return self._tree.prove_consistency(old_size, new_size)
+    def entries(self) -> Iterator[LogEntry]:
+        """Every entry in log order."""
+        return map(LogEntry, count(), self._logged_at, self._certificates)

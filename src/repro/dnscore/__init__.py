@@ -4,7 +4,6 @@ from repro.dnscore.interned import (
     Name,
     NameTable,
     configure_interner,
-    default_table,
     intern_name,
 )
 from repro.dnscore.name import (
@@ -41,10 +40,9 @@ from repro.dnscore.zone import (
     domains_removed,
     nameserver_changes,
 )
-from repro.dnscore.zonediff import DiffSequence, ZoneDelta, merge_nrd_maps
+from repro.dnscore.zonediff import DiffSequence, ZoneDelta
 from repro.dnscore.psl import (
     BUILTIN_RULES,
-    BuggyPublicSuffixList,
     PublicSuffixList,
     default_psl,
     registrable_domain,
@@ -54,7 +52,6 @@ from repro.dnscore.cache import CacheStats, ResolverCache
 from repro.dnscore.authserver import (
     AuthorityBackend,
     HostingAuthority,
-    StaticAuthority,
     TLDAuthority,
 )
 from repro.dnscore.resolver import CachingResolver, ResolverPool, ResolverStats
@@ -70,19 +67,19 @@ from repro.dnscore.wire import (
 from repro.errors import DomainNameError
 
 __all__ = [
-    "Name", "NameTable", "intern_name", "default_table", "configure_interner",
+    "Name", "NameTable", "intern_name", "configure_interner",
     "normalize", "is_valid", "labels", "label_count", "parent", "tld_of",
     "is_subdomain", "strip_wildcard", "ancestors", "join", "registrable_guess",
     "RRType", "ResourceRecord", "RRSet", "SOA", "MONITOR_QTYPES",
     "a_rrset", "aaaa_rrset", "ns_rrset", "serial_add", "serial_gt", "soa_for_tld",
     "Zone", "ZoneVersion", "Delegation",
     "domains_added", "domains_removed", "nameserver_changes",
-    "DiffSequence", "ZoneDelta", "merge_nrd_maps",
-    "PublicSuffixList", "BuggyPublicSuffixList", "BUILTIN_RULES",
+    "DiffSequence", "ZoneDelta",
+    "PublicSuffixList", "BUILTIN_RULES",
     "default_psl", "registrable_domain",
     "Query", "Response", "RCode", "noerror", "nxdomain", "servfail", "timeout",
     "ResolverCache", "CacheStats",
-    "AuthorityBackend", "TLDAuthority", "HostingAuthority", "StaticAuthority",
+    "AuthorityBackend", "TLDAuthority", "HostingAuthority",
     "CachingResolver", "ResolverPool", "ResolverStats",
     "WireError", "WireMessage", "decode_message", "decode_name",
     "encode_name", "encode_query", "encode_response",

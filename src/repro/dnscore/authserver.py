@@ -21,7 +21,6 @@ from repro.dnscore import name as dnsname
 from repro.dnscore.interned import intern_name
 from repro.dnscore.message import Query, RCode, Response, noerror, nxdomain, servfail, timeout
 from repro.dnscore.records import RRType, ResourceRecord
-from repro.errors import DNSError
 
 
 def _registrable_guess(qname: str):
@@ -188,24 +187,4 @@ class HostingAuthority:
         records = tuple(
             ResourceRecord(query.qname, query.qtype, rdata, self.answer_ttl)
             for rdata in sorted(rdatas))
-        return noerror(query, records, served_at=ts)
-
-
-class StaticAuthority:
-    """A fixed-answer backend for tests and examples."""
-
-    def __init__(self) -> None:
-        self._answers: dict = {}
-        self.default_rcode = RCode.NXDOMAIN
-
-    def add(self, qname: str, qtype: RRType, rdatas: Iterable[str],
-            ttl: int = 300) -> None:
-        key = (dnsname.normalize(qname), qtype)
-        self._answers[key] = tuple(
-            ResourceRecord(qname, qtype, rdata, ttl) for rdata in rdatas)
-
-    def lookup(self, query: Query, ts: int) -> Response:
-        records = self._answers.get((query.qname, query.qtype))
-        if records is None:
-            return Response(query=query, rcode=self.default_rcode, served_at=ts)
         return noerror(query, records, served_at=ts)

@@ -355,11 +355,6 @@ intern_name = _TABLE.intern
 Name.of = staticmethod(_TABLE.intern)
 
 
-def default_table() -> NameTable:
-    """The process-wide :class:`NameTable` behind :func:`intern_name`."""
-    return _TABLE
-
-
 def configure_interner(expected_names: int) -> NameTable:
     """Size the process interner for an expected distinct-name volume.
 

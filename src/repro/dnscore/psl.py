@@ -18,7 +18,7 @@ The rule semantics follow https://publicsuffix.org/list/ :
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dnscore.interned import Name, intern_name
 from repro.errors import DomainNameError, PSLError
@@ -172,21 +172,6 @@ class PublicSuffixList:
         if len(labels) <= n:
             raise PSLError(f"{norm!r} is a public suffix; no registrable domain")
         return ".".join(labels[-(n + 1):]), ".".join(labels[-n:])
-
-
-class BuggyPublicSuffixList(PublicSuffixList):
-    """A PSL with deliberately missing multi-label rules.
-
-    The paper attributes part of Figure 1's long tail to *incorrect SLD
-    extraction using the PSL*.  This variant drops every multi-label
-    rule, so names under e.g. ``co.uk`` are truncated to ``co.uk``'s
-    last two labels — the classic failure mode.  Used by the DV/PSL
-    ablation and by tests.
-    """
-
-    def __init__(self, rules: Iterable[str] = BUILTIN_RULES) -> None:
-        single_label = [r for r in rules if "." not in r and not r.startswith(("!", "*"))]
-        super().__init__(single_label)
 
 
 _DEFAULT: Optional[PublicSuffixList] = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.dnscore import name as dnsname
 from repro.errors import RecordError
@@ -198,13 +198,3 @@ def soa_for_tld(tld: str, serial: int = 1) -> SOA:
     return SOA(mname=f"a.nic.{dnsname.normalize(tld)}",
                rname=f"hostmaster.nic.{dnsname.normalize(tld)}",
                serial=serial)
-
-
-def summarize_rrsets(records: Iterable[ResourceRecord]) -> List[RRSet]:
-    """Group loose records into RRsets (owner+type), sorted for stability."""
-    groups: dict = {}
-    for record in records:
-        groups.setdefault((record.owner, record.rtype), []).append(record)
-    out = [RRSet.of(recs) for recs in groups.values()]
-    out.sort(key=lambda s: (s.owner, s.rtype.value))
-    return out

@@ -9,8 +9,8 @@ which is exactly the data structure the visibility-gap analyses consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.dnscore.zone import ZoneVersion, domains_added, domains_removed, nameserver_changes
 from repro.errors import ZoneError
@@ -123,13 +123,3 @@ class DiffSequence:
             return False
         last = self.last_seen.get(domain, ts)
         return ts < end and last >= start
-
-
-def merge_nrd_maps(sequences: Iterable[DiffSequence]) -> Dict[str, int]:
-    """Union the per-zone NRD maps of many diff sequences."""
-    merged: Dict[str, int] = {}
-    for seq in sequences:
-        for domain, ts in seq.newly_registered().items():
-            if domain not in merged or ts < merged[domain]:
-                merged[domain] = ts
-    return merged

@@ -101,10 +101,6 @@ class ValidationError(CTError):
     """Domain validation failed: the CA could not prove control."""
 
 
-class MerkleError(CTError):
-    """A Merkle tree proof or index is invalid."""
-
-
 # --------------------------------------------------------------------------
 # Bus
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.netsim.hosting import (
     TRANSIENT_DNS_MIX,
     TRANSIENT_WEB_MIX,
     default_asdb,
-    provider_by_name,
     provider_for_ns_sld,
 )
 
@@ -33,5 +32,5 @@ __all__ = [
     "CLOUDFLARE", "HOSTINGER", "GODADDY",
     "TRANSIENT_DNS_MIX", "TRANSIENT_WEB_MIX",
     "LEGIT_DNS_MIX", "LEGIT_WEB_MIX",
-    "default_asdb", "provider_by_name", "provider_for_ns_sld",
+    "default_asdb", "provider_for_ns_sld",
 ]

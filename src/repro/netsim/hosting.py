@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.netsim.addr import AddressPool, Prefix
+from repro.netsim.addr import AddressPool
 from repro.netsim.asdb import ASDatabase, build_from_providers
 from repro.simtime.rng import WeightedSampler, stable_bucket, stable_hash01
 
@@ -138,15 +138,7 @@ ALL_PROVIDERS: Tuple[Provider, ...] = (
     NETWORK_SOLUTIONS,
 )
 
-_BY_NAME: Dict[str, Provider] = {p.name: p for p in ALL_PROVIDERS}
 _BY_NS_SLD: Dict[str, Provider] = {p.ns_sld: p for p in ALL_PROVIDERS}
-
-
-def provider_by_name(name: str) -> Provider:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ConfigError(f"unknown provider: {name!r}") from None
 
 
 def provider_for_ns_sld(ns_sld: str) -> Optional[Provider]:

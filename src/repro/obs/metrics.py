@@ -79,7 +79,8 @@ class Histogram:
         self.max = 0.0
 
     def observe(self, value: float) -> None:
-        self.buckets[bisect_right(self.bounds, value)] += 1
+        # bisect_left: a value equal to a bound is in that bound's bucket.
+        self.buckets[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if value > self.max:
@@ -98,14 +99,14 @@ class Histogram:
         buckets = self.buckets
         if zeros:
             # ``max`` starts at 0 and only grows, so zeros never move it.
-            buckets[bisect_right(self.bounds, 0)] += zeros
+            buckets[bisect_left(self.bounds, 0)] += zeros
             self.count += zeros
         if not values:
             return
         ordered = sorted(values)
         below = 0
         for i, bound in enumerate(self.bounds):
-            upto = bisect_left(ordered, bound, below)
+            upto = bisect_right(ordered, bound, below)
             buckets[i] += upto - below
             below = upto
         buckets[-1] += len(ordered) - below

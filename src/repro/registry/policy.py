@@ -10,8 +10,8 @@ snapshot timing and RDAP behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.simtime.clock import DAY, HOUR, MINUTE
@@ -136,19 +136,3 @@ def policy_for(tld: str) -> TLDPolicy:
         return DEFAULT_POLICIES[tld]
     except KeyError:
         raise ConfigError(f"no default policy for TLD {tld!r}") from None
-
-
-def with_rapid_updates(policy: TLDPolicy, snapshot_interval: int) -> TLDPolicy:
-    """Not a field change — helper for the RZU ablation.
-
-    Rapid Zone Update does not alter the registry's provisioning
-    cadence; it changes how often *consumers* get zone state.  The CZDS
-    service accepts a snapshot interval override; this helper simply
-    documents that relationship and validates the requested cadence.
-    """
-    if snapshot_interval <= 0:
-        raise ConfigError("snapshot interval must be positive")
-    if snapshot_interval < policy.zone_update_interval:
-        # Snapshots more frequent than provisioning add no information.
-        return policy
-    return policy

@@ -1120,9 +1120,8 @@ def world_fingerprint(world: World) -> str:
 
     Covered: every lifecycle field and record timeline, CT log entries,
     CA-held DV tokens, DZDB history, and the builder's stats.  Excluded
-    by design: certificate serials and Merkle state (serials number the
-    world's issuances in order, which the CT log entries already cover,
-    and Merkle state is derived from those entries).
+    by design: certificate serials (they number the world's issuances
+    in order, which the CT log entries already cover).
     """
     h = hashlib.blake2b(digest_size=16)
 

@@ -18,9 +18,10 @@ from repro.core.rdap_collect import RDAPCollector, RDAPCollectorConfig
 from repro.core.records import Candidate, MonitorReport
 from repro.core.transient import TransientClassifier
 from repro.core.validate import Validator, ValidatorConfig
-from repro.dnscore.psl import BuggyPublicSuffixList
 from repro.registry.rdap import RDAPFailure, RDAPResult
 from repro.simtime.clock import DAY, HOUR, MINUTE, to_datetime
+
+from doubles import BuggyPublicSuffixList
 
 
 def make_candidate(domain="x.com", seen=10_000):

@@ -1,6 +1,11 @@
 """End-to-end determinism: same seed ⇒ bit-identical results."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +175,53 @@ class TestDeterminism:
         text_b = "\n".join(r.render() for r in full_report(
             world, second, include_nod=False))
         assert text_a == text_b
+
+
+#: Builds a small world, runs the pipeline and prints the world
+#: fingerprint plus a digest of the confirmed transients and the public
+#: feed, in feed order.
+_HASH_SEED_PROBE = """
+import hashlib, json
+from repro.core.pipeline import DarkDNSPipeline
+from repro.workload.scenario import ScenarioConfig, build_world, world_fingerprint
+world = build_world(ScenarioConfig(seed=3, scale=1 / 5000, tlds=["com", "xyz"],
+                                   include_cctld=False))
+pipeline = DarkDNSPipeline(world)
+result = pipeline.run()
+digest = hashlib.blake2b(digest_size=16)
+for domain in sorted(result.confirmed_transients):
+    digest.update(domain.encode() + b"\\n")
+digest.update(b"feed\\n")
+for record in pipeline.feed:
+    digest.update(record.to_json().encode() + b"\\n")
+print(json.dumps({"fingerprint": world_fingerprint(world),
+                  "outputs": digest.hexdigest(),
+                  "confirmed": len(result.confirmed_transients),
+                  "feed": len(pipeline.feed)}))
+"""
+
+
+class TestHashSeedIndependence:
+    """Outputs do not depend on ``PYTHONHASHSEED``: set and dict
+    iteration order never reaches a sampled value, a pipeline verdict
+    or the order of the public feed."""
+
+    @staticmethod
+    def _run(hash_seed: str) -> dict:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_two_hash_seeds_give_identical_outputs(self):
+        first, second = self._run("0"), self._run("31")
+        assert first["confirmed"] > 0 and first["feed"] > 0
+        assert first == second
 
 
 class TestInstrumentedBuildMatchesGolden:

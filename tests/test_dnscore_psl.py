@@ -4,12 +4,13 @@ import pytest
 
 from repro.dnscore.psl import (
     BUILTIN_RULES,
-    BuggyPublicSuffixList,
     PublicSuffixList,
     default_psl,
     registrable_domain,
 )
 from repro.errors import PSLError
+
+from doubles import BuggyPublicSuffixList
 
 
 @pytest.fixture(scope="module")

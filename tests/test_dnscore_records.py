@@ -14,7 +14,6 @@ from repro.dnscore.records import (
     serial_add,
     serial_gt,
     soa_for_tld,
-    summarize_rrsets,
 )
 from repro.errors import RecordError
 
@@ -101,16 +100,6 @@ class TestRRSet:
     def test_builders(self):
         assert len(a_rrset("x.com", ["192.0.2.1", "192.0.2.2"])) == 2
         assert len(aaaa_rrset("x.com", ["2001:db8::1"])) == 1
-
-    def test_summarize(self):
-        records = [
-            ResourceRecord("a.com", RRType.A, "192.0.2.1"),
-            ResourceRecord("a.com", RRType.A, "192.0.2.2"),
-            ResourceRecord("a.com", RRType.NS, "ns1.h.net"),
-        ]
-        rrsets = summarize_rrsets(records)
-        assert [(s.owner, s.rtype, len(s)) for s in rrsets] == [
-            ("a.com", RRType.A, 2), ("a.com", RRType.NS, 1)]
 
 
 class TestSerialArithmetic:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.dnscore.authserver import HostingAuthority, StaticAuthority, TLDAuthority
+from repro.dnscore.authserver import HostingAuthority, TLDAuthority
 from repro.dnscore.cache import ResolverCache
 from repro.dnscore.message import Query, RCode, noerror, nxdomain, servfail, timeout
 from repro.dnscore.records import RRType, ResourceRecord
 from repro.dnscore.resolver import CachingResolver, ResolverPool
+
+from doubles import StaticAuthority
 
 
 class TestMessages:

@@ -10,7 +10,7 @@ from repro.dnscore.zone import (
     domains_removed,
     nameserver_changes,
 )
-from repro.dnscore.zonediff import DiffSequence, ZoneDelta, merge_nrd_maps
+from repro.dnscore.zonediff import DiffSequence, ZoneDelta
 from repro.errors import ZoneError
 
 
@@ -190,11 +190,3 @@ class TestDiffSequence:
             seq.feed(snap)
         assert seq.appeared_within("day1.com", 50, 150)
         assert not seq.appeared_within("day2.com", 0, 150)
-
-    def test_merge_nrd_maps(self):
-        s0, s1, s2 = self._snapshots()
-        seq = DiffSequence("com")
-        for snap in (s0, s1, s2):
-            seq.feed(snap)
-        merged = merge_nrd_maps([seq])
-        assert merged == seq.newly_registered()

@@ -11,10 +11,12 @@ from repro.core.ctdetect import CTDetector
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.rdap_collect import RDAPCollector
 from repro.ct.certstream import CertstreamFeed
-from repro.dnscore.psl import BuggyPublicSuffixList, PublicSuffixList
+from repro.dnscore.psl import PublicSuffixList
 from repro.registry.rdap import RDAPClient, RDAPFailure, RDAPServer
 from repro.registry.registry import RegistryGroup
 from repro.simtime.clock import DAY, HOUR
+
+from doubles import BuggyPublicSuffixList
 
 
 class TestCertstreamLoss:

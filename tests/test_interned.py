@@ -29,11 +29,12 @@ from repro.dnscore.interned import (
     MAX_NAME_LENGTH,
     Name,
     NameTable,
-    default_table,
     intern_name,
 )
-from repro.dnscore.psl import BuggyPublicSuffixList, PublicSuffixList, default_psl
+from repro.dnscore.psl import PublicSuffixList, default_psl
 from repro.errors import DomainNameError, PSLError
+
+from doubles import BuggyPublicSuffixList
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +277,14 @@ class TestNameTable:
                 table.intern(bad)
 
     def test_stats_shape(self):
-        stats = default_table().stats()
+        stats = intern_name.__self__.stats()
         for key in ("interned", "aliases", "alias_limit", "expected",
                     "hits", "misses", "alias_hits"):
             assert key in stats
 
     def test_world_build_sizes_the_process_table(self):
         from repro.workload.scenario import small_world
-        table = default_table()
+        table = intern_name.__self__     # the process-wide table
         world = small_world(scale=1 / 5000)
         assert table.expected > 0
         assert table.alias_limit >= 2 * table.expected

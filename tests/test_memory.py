@@ -20,12 +20,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: tracemalloc bytes live after ``build_world`` per registration (seed
 #: 7, 1/2000, no ccTLD; imports excluded).  Python 3.9 / 3.11 / 3.12
-#: read 1,310 / 1,299 / 1,259.  With a per-issuance log in every CA,
-#: eight slots per ``Name``, a fresh empty timeline per absent history
-#: and dirty zone ticks held as int objects in a set they read 1,529 /
-#: 1,521 / 1,481, which this budget rejects; the headroom absorbs the
-#: object-size differences between interpreter versions.
-BUDGET_BYTES_PER_REGISTRATION = 1_400
+#: read 1,181 / 1,168 / 1,128; the budget is the highest plus about
+#: 5 %.  With a Merkle tree of leaf bytes and a ``LogEntry`` object per
+#: CT log entry they read 1,310 / 1,298 / 1,259, and with a per-issuance
+#: log in every CA, eight slots per ``Name``, a fresh empty timeline per
+#: absent history and dirty zone ticks held as int objects in a set as
+#: well 1,529 / 1,521 / 1,481.
+BUDGET_BYTES_PER_REGISTRATION = 1_240
 
 #: tracemalloc growth across ``DarkDNSPipeline(world).run()`` per CT
 #: candidate on the same world.  Python 3.9 / 3.11 / 3.12 read 1,207 /

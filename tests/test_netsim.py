@@ -16,13 +16,13 @@ from repro.netsim.addr import (
 from repro.netsim.asdb import ASDatabase, build_from_providers
 from repro.netsim.hosting import (
     ALL_PROVIDERS,
+    AMAZON,
     CLOUDFLARE,
     HOSTINGER,
     LEGIT_DNS_MIX,
     TRANSIENT_DNS_MIX,
     TRANSIENT_WEB_MIX,
     default_asdb,
-    provider_by_name,
     provider_for_ns_sld,
 )
 from repro.simtime.rng import RngStream
@@ -138,17 +138,13 @@ class TestProviders:
     def test_paper_asns(self):
         assert CLOUDFLARE.asn == 13335
         assert HOSTINGER.asn == 47583
-        assert provider_by_name("Amazon").asn == 16509
+        assert AMAZON.asn == 16509
 
     def test_paper_ns_slds(self):
         assert CLOUDFLARE.ns_sld == "cloudflare.com"
         assert HOSTINGER.ns_sld == "dns-parking.com"
         assert provider_for_ns_sld("nsone.net").name == "NS1"
         assert provider_for_ns_sld("unknown.example") is None
-
-    def test_unknown_provider_raises(self):
-        with pytest.raises(ConfigError):
-            provider_by_name("NotAProvider")
 
     def test_cloudflare_named_ns_style(self):
         hosts = CLOUDFLARE.nameservers_for("example.com")

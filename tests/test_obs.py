@@ -91,6 +91,13 @@ class TestHistogramQuantile:
         h.observe(200)
         assert h.quantile(0.0) == 10       # 5 lands in the (1, 10] bucket
 
+    def test_edge_value_reports_its_own_bound(self):
+        h = Histogram("h", bounds=(1, 8))
+        h.observe(1)
+        h.observe(5)
+        assert h.buckets == [1, 1, 0]
+        assert h.quantile(0.5) == 1
+
     def test_quantile_one_is_exact_max(self):
         h = Histogram("lag", bounds=(1, 10, 60))
         for value in (0.5, 2, 30, 59):
@@ -183,8 +190,8 @@ class TestHistogramBulk:
         bulk.observe_many(values, zeros=2)
         for value in values + [0, 0]:
             each.observe(value)
-        # An edge value lands above its bound, as observe() puts it.
-        assert bulk.buckets == [3, 2, 3]
+        # Bounds are inclusive: an edge value lands in its own bucket.
+        assert bulk.buckets == [4, 2, 2]
         assert bulk.max == 1000
         assert _state(bulk) == _state(each)
 
