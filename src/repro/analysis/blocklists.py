@@ -14,15 +14,14 @@ The timing classification below mirrors that bucketing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
 
 from repro import paperdata
 from repro.analysis.tables import ExperimentReport, TextTable
 from repro.core.records import PipelineResult
 from repro.intel.blocklist import BlocklistPanel
 from repro.registry.lifecycle import DomainLifecycle
-from repro.simtime.clock import DAY, day_floor
+from repro.simtime.clock import day_floor
 from repro.workload.scenario import World
 
 

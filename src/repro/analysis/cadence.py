@@ -13,7 +13,6 @@ the GCD-like structure of change gaps rather than their mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 

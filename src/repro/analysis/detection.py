@@ -12,13 +12,13 @@ infrastructure through their first 24 hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro import paperdata
-from repro.analysis.ecdf import ECDF, cdf_series, format_duration, render_cdf
+from repro.analysis.ecdf import ECDF, format_duration
 from repro.analysis.tables import ExperimentReport, TextTable
 from repro.core.records import PipelineResult
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import HOUR, MINUTE
 from repro.workload.scenario import World
 
 

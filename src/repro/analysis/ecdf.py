@@ -9,7 +9,7 @@ print the "figure" as a series.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.simtime.clock import DAY, HOUR, MINUTE

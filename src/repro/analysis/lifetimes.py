@@ -9,7 +9,7 @@ transient domains died within their first six hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import paperdata
 from repro.analysis.ecdf import ECDF, format_duration

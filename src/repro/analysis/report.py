@@ -7,8 +7,7 @@ EXPERIMENTS.md is generated from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro import paperdata
 from repro.analysis.blocklists import BlocklistAnalysis

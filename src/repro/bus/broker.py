@@ -11,9 +11,9 @@ committing per-partition offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import BusError, OffsetError, UnknownTopicError
 from repro.heap import frozen_slots

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import BusError
 

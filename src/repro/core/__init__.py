@@ -18,7 +18,6 @@ from repro.core.validate import Validator, ValidatorConfig
 from repro.core.transient import TransientBreakdown, TransientClassifier
 from repro.core.feed import FeedRecord, PublicFeed
 from repro.core.pipeline import DarkDNSPipeline, PipelineConfig, run_pipeline
-from repro.core.live import StreamingPipeline
 
 __all__ = [
     "Candidate", "MonitorReport", "PipelineResult", "ValidationVerdict",
@@ -29,5 +28,4 @@ __all__ = [
     "TransientBreakdown", "TransientClassifier",
     "FeedRecord", "PublicFeed",
     "DarkDNSPipeline", "PipelineConfig", "run_pipeline",
-    "StreamingPipeline",
 ]

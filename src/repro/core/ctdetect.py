@@ -16,7 +16,7 @@ limitations — which the simulation reproduces rather than papers over:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.bus.broker import Broker, TOPIC_CANDIDATES
 from repro.ct.certstream import CertstreamEvent, CertstreamFeed

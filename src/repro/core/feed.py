@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.core.records import Candidate
 from repro.heap import frozen_slots

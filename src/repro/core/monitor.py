@@ -27,7 +27,7 @@ scan benches measure the speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.records import MonitorReport
 from repro.dnscore.message import Query, RCode
@@ -35,7 +35,7 @@ from repro.errors import ConfigError
 from repro.dnscore.records import RRType
 from repro.registry.lifecycle import DomainLifecycle
 from repro.registry.registry import RegistryGroup
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import HOUR, MINUTE
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ benchmark harnesses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.bus.broker import TOPIC_FEED, TOPIC_OBSERVATIONS
 from repro.core.ctdetect import CTDetector

@@ -9,7 +9,7 @@ and never retrying failures — §3 step 2 and the ethics appendix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.bus.broker import Broker, TOPIC_RDAP
 from repro.core.records import Candidate

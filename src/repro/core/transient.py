@@ -15,9 +15,9 @@ splits candidates into:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Set
 
-from repro.core.records import Candidate, PipelineResult, ValidationVerdict
+from repro.core.records import Candidate, ValidationVerdict
 from repro.czds.archive import SnapshotArchive
 from repro.registry.registry import RegistryGroup
 

@@ -15,11 +15,11 @@ Two distinct questions (paper §3 step 4 and §4.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.core.records import Candidate, ValidationVerdict
 from repro.registry.rdap import RDAPResult
-from repro.simtime.clock import DAY, HOUR
+from repro.simtime.clock import DAY
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.ct.certificate import Certificate, MAX_VALIDITY, make_precert
+from repro.ct.certificate import Certificate, make_precert
 from repro.ct.ctlog import CTLog, LogEntry
 from repro.dnscore.interned import intern_name
 from repro.errors import ValidationError

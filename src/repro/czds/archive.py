@@ -20,16 +20,16 @@ implementations together.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.dnscore import name as dnsname
 from repro.dnscore.zone import ZoneVersion
 from repro.dnscore.zonediff import DiffSequence
 from repro.errors import ConfigError
-from repro.czds.snapshot import SnapshotMeta, SnapshotSchedule
+from repro.czds.snapshot import SnapshotSchedule
 from repro.registry.lifecycle import DomainLifecycle
-from repro.registry.registry import Registry, RegistryGroup
+from repro.registry.registry import RegistryGroup
 from repro.simtime.clock import DAY, Window
 
 

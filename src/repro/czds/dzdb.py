@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dnscore.interned import Name, intern_name
 from repro.errors import ConfigError
-from repro.simtime.clock import DAY, isoformat
+from repro.simtime.clock import DAY
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.registry.policy import TLDPolicy
-from repro.simtime.clock import DAY, HOUR, Window, day_floor
+from repro.simtime.clock import DAY, Window, day_floor
 from repro.simtime.rng import stable_hash01
 
 

@@ -103,10 +103,6 @@ class Name(str):
         """Labels right to left (TLD first) — the PSL matcher's input."""
         return tuple(str.split(self, ".")[::-1]) if self else ()
 
-    @property
-    def is_wildcard(self) -> bool:
-        return str.startswith(self, "*.")
-
     def stripped(self) -> "Name":
         """This name without a leading ``*.`` wildcard label.
 

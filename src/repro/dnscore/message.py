@@ -8,7 +8,7 @@ from cache (the paper caps resolver caching at 60 s to bound staleness).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.dnscore import name as dnsname

@@ -16,8 +16,8 @@ bypass recursion entirely and go straight to the TLD authority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.dnscore import name as dnsname
 from repro.dnscore.authserver import AuthorityBackend

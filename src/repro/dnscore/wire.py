@@ -13,11 +13,11 @@ examples' feed consumers, packet-level tests, pcap-style tooling):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dnscore import name as dnsname
-from repro.dnscore.message import Query, RCode, Response
+from repro.dnscore.message import Query, Response
 from repro.dnscore.records import RRType, ResourceRecord, SOA
 from repro.errors import DNSError
 from repro.netsim.addr import format_ipv4, format_ipv6, parse_ipv4, parse_ipv6

@@ -24,12 +24,12 @@ Each :class:`Blocklist` model captures that mechanism:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.registry.lifecycle import AbuseKind, DomainLifecycle
 from repro.simtime.clock import BLOCKLIST_WINDOW, DAY, HOUR, Window, day_floor
-from repro.simtime.rng import RngStream, stable_hash01
+from repro.simtime.rng import RngStream
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ The paper's population definitions, computed from the registry view:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from repro.czds.archive import SnapshotArchive
 from repro.registry.lifecycle import DomainLifecycle
 from repro.registry.registry import RegistryGroup
-from repro.simtime.clock import DAY, Window
+from repro.simtime.clock import Window
 
 
 @dataclass

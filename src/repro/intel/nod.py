@@ -22,10 +22,10 @@ domains.  The defaults solve the paper's reported marginals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from repro.registry.lifecycle import DomainLifecycle
-from repro.simtime.clock import DAY, HOUR, MINUTE
+from repro.simtime.clock import DAY, MINUTE
 from repro.simtime.rng import stable_hash01
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 from repro.errors import ConfigError
 from repro.simtime.rng import stable_hash01

@@ -9,7 +9,7 @@ lookup: a radix-style longest-prefix-match table from prefixes to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError
 from repro.netsim.addr import Prefix, parse_ipv4, parse_ipv6
@@ -70,10 +70,6 @@ class ASDatabase:
     def asn_of(self, address_text: str) -> Optional[int]:
         entry = self.lookup(address_text)
         return entry.asn if entry else None
-
-    def org_of(self, address_text: str) -> Optional[str]:
-        entry = self.lookup(address_text)
-        return entry.org if entry else None
 
     def __len__(self) -> int:
         return len(self.entries)

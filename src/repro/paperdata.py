@@ -13,7 +13,7 @@ inline statistics, §4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.simtime.clock import HOUR, MINUTE, DAY
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 from typing import FrozenSet, Optional, Tuple
 
-from repro.dnscore import name as dnsname
 from repro.dnscore.interned import Name, intern_name
 from repro.errors import ConfigError
-from repro.simtime.clock import DAY, HOUR
+from repro.simtime.clock import DAY
 from repro.simtime.timeline import Timeline
 
 

@@ -16,7 +16,7 @@ create the "early-removed" population of §4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.registry.lifecycle import RemovalReason

@@ -27,7 +27,6 @@ from repro.dnscore.zone import Delegation, ZoneVersion
 from repro.errors import RegistrationError, UnknownDomainError
 from repro.registry.lifecycle import DomainLifecycle, RemovalReason
 from repro.registry.policy import TLDPolicy
-from repro.simtime.clock import DAY
 from repro.simtime.timeline import EMPTY_TIMELINE, Timeline
 
 #: Normalised NS sets memoised by the raw host tuple.  Providers hand

@@ -184,10 +184,6 @@ class ProbeScheduler:
         if state is not None:
             state.terminated = True
 
-    def is_terminated(self, domain: str) -> bool:
-        state = self._domains.get(domain)
-        return state is not None and state.terminated
-
     def grid_size(self, domain: str) -> int:
         return self._domains[domain].grid_len
 

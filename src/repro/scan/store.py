@@ -16,11 +16,10 @@ store is attached (the CLI's ``--store`` flag, tests, forensics).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.bus.columnar import ColumnStore
 from repro.dnscore.message import Response
-from repro.dnscore.records import RRType
 
 #: One row per probe outcome (including retries and dedup hits).
 PROBE_COLUMNS = ("domain", "tld", "ts", "nominal_ts", "qtype", "rcode",

@@ -20,7 +20,7 @@ what is observed:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.dnscore.message import Query, RCode, Response, nxdomain, servfail
 from repro.dnscore.records import RRType
@@ -55,9 +55,6 @@ class NegativeAnswerCache:
 
     def note_answered(self, domain: str, qtype: RRType) -> None:
         self._dark_streaks.pop((domain, qtype), None)
-
-    def dark_streak(self, domain: str, qtype: RRType) -> int:
-        return self._dark_streaks.get((domain, qtype), 0)
 
 
 class ProbeWorker:

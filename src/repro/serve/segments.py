@@ -477,9 +477,6 @@ class SegmentedLog:
     def compactions(self) -> int:
         return self._compactions
 
-    def segment_infos(self) -> List[SegmentInfo]:
-        return [s.info() for s in self._segments]
-
     def stats(self) -> Dict[str, int]:
         return {
             "segments": len(self._segments),

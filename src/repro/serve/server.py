@@ -29,7 +29,7 @@ over the pipeline's public NRD feed ("zonestream").  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 

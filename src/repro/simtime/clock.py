@@ -1,4 +1,4 @@
-"""Simulation time: epochs, clocks, and duration parsing.
+"""Simulation time: epochs, windows, and duration parsing.
 
 All simulation timestamps are integral **seconds** relative to the Unix
 epoch.  The paper's observation window (1 Nov 2023 -- 31 Jan 2024) is
@@ -14,7 +14,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from repro.errors import ClockError, ConfigError
+from repro.errors import ConfigError
 
 SECOND = 1
 MINUTE = 60
@@ -164,40 +164,3 @@ PAPER_WINDOW = Window(utc(2023, 11, 1), utc(2024, 2, 1))
 #: Blocklist observation extends to 29 Apr 2024 (paper §4.3).
 BLOCKLIST_WINDOW = Window(utc(2023, 11, 1), utc(2024, 4, 30))
 
-
-class SimClock:
-    """A monotonically advancing simulation clock.
-
-    The clock is deliberately tiny: components that need "now" receive
-    the clock object and read :attr:`now`.  Moving backwards raises
-    :class:`~repro.errors.ClockError` — simulations that rewind time are
-    bugs, not features.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: int = PAPER_WINDOW.start) -> None:
-        self._now = int(start)
-
-    @property
-    def now(self) -> int:
-        """Current simulation time (seconds since Unix epoch)."""
-        return self._now
-
-    def advance(self, delta: int) -> int:
-        """Move the clock forward by ``delta`` seconds and return now."""
-        if delta < 0:
-            raise ClockError(f"cannot advance by negative delta {delta}")
-        self._now += int(delta)
-        return self._now
-
-    def advance_to(self, ts: int) -> int:
-        """Move the clock forward to ``ts`` (no-op if already there)."""
-        if ts < self._now:
-            raise ClockError(
-                f"cannot move clock backwards: now={self._now}, target={ts}")
-        self._now = int(ts)
-        return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"SimClock({isoformat(self._now)})"

@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect as _bisect
 from itertools import accumulate as _accumulate
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def derive_seed(master: int, *path: str) -> int:
@@ -234,8 +234,3 @@ def stable_bucket(text: str, buckets: int, salt: str = "") -> int:
 def spawn(master: int, *path: str) -> RngStream:
     """Convenience: one-off child stream without a :class:`StreamBank`."""
     return RngStream(master, *path)
-
-
-def optional_stream(stream: Optional[RngStream], master: int, *path: str) -> RngStream:
-    """Return ``stream`` if given, else derive one from ``master``/``path``."""
-    return stream if stream is not None else RngStream(master, *path)

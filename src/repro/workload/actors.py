@@ -190,9 +190,3 @@ def profile_sampler(
 def pick_profile(rng: RngStream,
                  mixture: Tuple[Tuple[ActorProfile, float], ...]) -> ActorProfile:
     return profile_sampler(mixture).pick(rng)
-
-
-def mean_cert_affinity(mixture: Tuple[Tuple[ActorProfile, float], ...]) -> float:
-    """Weight-averaged cert affinity (used to normalise per-TLD rates)."""
-    total = sum(w for _, w in mixture)
-    return sum(p.cert.affinity * w for p, w in mixture) / total

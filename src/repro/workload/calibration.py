@@ -17,12 +17,12 @@ index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro import paperdata
 from repro.errors import ConfigError
-from repro.simtime.clock import DAY, HOUR, MINUTE, Window, utc
+from repro.simtime.clock import HOUR, Window, utc
 from repro.simtime.rng import stable_hash01
 
 #: Calendar months of the paper's window, with their day counts.
@@ -129,12 +129,6 @@ class TLDTargets:
         frac = value - base
         bump = stable_hash01(f"{self.tld}|{key}", "sround") < frac
         return base + (1 if bump else 0)
-
-    def real_transient_candidates(self, month: str) -> int:
-        """Observed candidates that are real registrations (no ghosts/held)."""
-        observed = self.monthly_transient_observed.get(month, 0)
-        return self._sround(observed / (1.0 + GHOST_RATIO + HELD_RATIO),
-                            f"{month}|real")
 
     def fast_takedown_count(self, month: str) -> int:
         """Fast-removed registrations needed to yield the observed

@@ -15,12 +15,12 @@ a driver of per-TLD transient skew [27].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.netsim.hosting import Provider
 from repro.registry.registrar import Registrar
-from repro.simtime.clock import HOUR, MINUTE
+from repro.simtime.clock import MINUTE
 from repro.simtime.rng import RngStream
 from repro.workload.actors import ActorProfile
 from repro.workload.namegen import NameGenerator

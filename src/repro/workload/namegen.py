@@ -24,7 +24,7 @@ counters collision-free across months of one TLD (see
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence
+from typing import List
 
 from repro.dnscore.interned import Name, intern_name
 from repro.simtime.rng import RngStream

@@ -39,12 +39,12 @@ from repro.obs.log import get_logger
 from repro.obs.profiler import SamplingProfiler, active as profiler_active
 from repro.obs.spans import Span, span, tracer
 from repro.registry.lifecycle import DomainLifecycle, RemovalReason
-from repro.registry.policy import DEFAULT_POLICIES, policy_for
+from repro.registry.policy import policy_for
 from repro.registry.registrar import TakedownModel
 from repro.registry.registry import Registry, RegistryGroup, lifecycle_rows
 from repro.resilience.faults import FaultPlan
 from repro.resilience.metrics import get_resilience_metrics
-from repro.simtime.clock import DAY, HOUR, MINUTE, PAPER_WINDOW, Window, day_floor
+from repro.simtime.clock import DAY, HOUR, MINUTE, PAPER_WINDOW, Window
 from repro.simtime.rng import RngStream, StreamBank, WeightedSampler
 from repro.workload import calibration as cal
 from repro.workload.actors import (
@@ -164,15 +164,6 @@ class World:
     targets: Dict[str, TLDTargets]
     cctld_tld: Optional[str]
     stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def gtlds(self) -> List[str]:
-        return sorted(self.targets)
-
-    def domain_exists(self, domain: str, ts: int) -> bool:
-        """The CA's existence oracle: does the delegation resolve?"""
-        lifecycle = self.registries.find_lifecycle(domain)
-        return lifecycle is not None and lifecycle.in_zone_at(ts)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,13 @@ class TestEndToEnd:
             assert lifecycle is not None
             assert not small_world.archive.appears_ever(lifecycle)
 
+    def test_confirmed_transients_are_true_transients(
+            self, small_world, small_result):
+        # Precision 1.0 against ground truth, not just snapshot absence.
+        truth = {lc.domain for lc in small_world.ground_truth.true_transients()}
+        assert small_result.confirmed_transients
+        assert small_result.confirmed_transients <= truth
+
     def test_ghosts_fail_rdap(self, small_world, small_result):
         ghosts = [d for d in small_result.transient_candidates
                   if small_world.registries.find_lifecycle(d) is None]
