@@ -10,10 +10,10 @@ from repro.bus.broker import (
     TOPIC_RDAP,
     Topic,
 )
-from repro.bus.columnar import ColumnStore, Dataset
+from repro.bus.columnar import ColumnStore
 
 __all__ = [
     "Broker", "Topic", "Partition", "Message",
     "TOPIC_CANDIDATES", "TOPIC_RDAP", "TOPIC_OBSERVATIONS", "TOPIC_FEED",
-    "ColumnStore", "Dataset",
+    "ColumnStore",
 ]

@@ -151,34 +151,3 @@ class ColumnStore:
             raise BusError(f"{path}: ragged columns {lengths}")
         return store
 
-
-class Dataset:
-    """A named collection of :class:`ColumnStore` tables (the "bucket")."""
-
-    def __init__(self) -> None:
-        self._tables: Dict[str, ColumnStore] = {}
-
-    def create(self, name: str, columns: Sequence[str]) -> ColumnStore:
-        if name in self._tables:
-            raise BusError(f"table {name!r} already exists")
-        table = ColumnStore(name, columns)
-        self._tables[name] = table
-        return table
-
-    def get(self, name: str) -> ColumnStore:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise BusError(f"no table {name!r}") from None
-
-    def ensure(self, name: str, columns: Sequence[str]) -> ColumnStore:
-        found = self._tables.get(name)
-        return found if found is not None else self.create(name, columns)
-
-    def tables(self) -> List[str]:
-        return sorted(self._tables)
-
-    def save_all(self, directory: Path) -> None:
-        directory = Path(directory)
-        for name, table in self._tables.items():
-            table.save(directory / f"{name}.json")

@@ -30,7 +30,6 @@ from repro.core.transient import TransientClassifier
 from repro.core.validate import Validator, ValidatorConfig
 from repro.dnscore.psl import PublicSuffixList
 from repro.heap import gc_paused
-from repro.obs.observers import observe_pipeline_result
 from repro.obs.spans import span
 from repro.workload.scenario import World
 
@@ -64,23 +63,15 @@ class DarkDNSPipeline:
     :class:`repro.serve.FeedServer` built on ``world.broker``): after
     the feed is published to the broker topic, the pipeline pumps the
     server so subscribers see the records within the same run.
-
-    ``observers`` optionally attaches a standing
-    :class:`~repro.obs.observers.ObserverSuite`: after step 5 the run's
-    daily output streams (registrations, dark hosts, confirmed
-    transients) are fed through it, and the resulting anomaly /
-    mass-event counts join ``result.stats``.  Detection is read-only —
-    it never changes what the pipeline returns.
     """
 
     def __init__(self, world: World,
                  config: Optional[PipelineConfig] = None,
-                 serve=None, observers=None) -> None:
+                 serve=None) -> None:
         self.world = world
         self.config = config if config is not None else PipelineConfig()
         self.feed = PublicFeed()
         self.serve = serve
-        self.observers = observers
         #: The step-3 monitor instance of the last run (exposes engine
         #: metrics when the strategy is "scan").
         self.monitor = None
@@ -192,10 +183,6 @@ class DarkDNSPipeline:
             "rdap_failed_transients": len(breakdown.rdap_failed),
             "misclassified_transients": len(breakdown.misclassified),
         }
-        if self.observers is not None:
-            anomalies = observe_pipeline_result(self.observers, result)
-            result.stats["anomalies"] = len(anomalies)
-            result.stats["mass_events"] = len(self.observers.mass_events)
         return result
 
 

@@ -55,15 +55,6 @@ from repro.dnscore.authserver import (
     TLDAuthority,
 )
 from repro.dnscore.resolver import CachingResolver, ResolverPool, ResolverStats
-from repro.dnscore.wire import (
-    WireError,
-    WireMessage,
-    decode_message,
-    decode_name,
-    encode_name,
-    encode_query,
-    encode_response,
-)
 from repro.errors import DomainNameError
 
 __all__ = [
@@ -81,7 +72,5 @@ __all__ = [
     "ResolverCache", "CacheStats",
     "AuthorityBackend", "TLDAuthority", "HostingAuthority",
     "CachingResolver", "ResolverPool", "ResolverStats",
-    "WireError", "WireMessage", "decode_message", "decode_name",
-    "encode_name", "encode_query", "encode_response",
     "DomainNameError",
 ]

@@ -74,6 +74,8 @@ class DiffSequence:
     def __init__(self, tld: str) -> None:
         self.tld = tld
         self._previous: Optional[ZoneVersion] = None
+        #: Domains of the first snapshot fed: they predate the window.
+        self._baseline: Set[str] = set()
         self.first_seen: Dict[str, int] = {}
         self.last_seen: Dict[str, int] = {}
         self.deltas: List[ZoneDelta] = []
@@ -111,9 +113,7 @@ class DiffSequence:
 
     def newly_registered(self) -> Dict[str, int]:
         """Domains first seen *after* the baseline snapshot → first-seen ts."""
-        if self._previous is None:
-            return {}
-        baseline = getattr(self, "_baseline", set())
+        baseline = self._baseline
         return {d: ts for d, ts in self.first_seen.items() if d not in baseline}
 
     def appeared_within(self, domain: str, start: int, end: int) -> bool:

@@ -19,11 +19,9 @@ series are significant at the same instant (the registration-burst /
 dark-host-spike trigger).  The suite is a registry provider, so its
 anomaly and mass-event counts appear in ``repro metrics`` output.
 
-Wired into the pipeline as the optional ``observers=`` hook of
-:class:`~repro.core.pipeline.DarkDNSPipeline`: after step 5 the suite
-ingests the run's daily series (:func:`observe_pipeline_result`).  The
-module is dependency-free and duck-types the pipeline result, so the
-layer map stays acyclic.
+:func:`observe_pipeline_result` feeds a finished pipeline run's daily
+series to a suite.  The module is dependency-free and duck-types the
+pipeline result, so the layer map stays acyclic.
 
 Everything is deterministic: thresholds are config, baselines are
 arithmetic, and no RNG stream is touched.
@@ -349,7 +347,7 @@ def observe_world(suite: ObserverSuite, world) -> List[Anomaly]:
 
 
 def default_pipeline_suite(**overrides) -> ObserverSuite:
-    """The suite the ``observers=`` pipeline hook expects.
+    """The suite :func:`observe_pipeline_result` is tuned for.
 
     Tuned so the *default* calibrated world stays quiet while a
     registration burst — one day at several times the baseline —

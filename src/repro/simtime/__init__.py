@@ -29,7 +29,7 @@ from repro.simtime.rng import (
     stable_bucket,
     stable_hash01,
 )
-from repro.simtime.timeline import BooleanTimeline, Timeline, merge_change_times
+from repro.simtime.timeline import Timeline
 
 __all__ = [
     "SECOND", "MINUTE", "HOUR", "DAY", "WEEK",
@@ -40,5 +40,5 @@ __all__ = [
     "RngStream", "StreamBank",
     "WeightedSampler", "derive_seed", "spawn",
     "stable_bucket", "stable_hash01",
-    "BooleanTimeline", "Timeline", "merge_change_times",
+    "Timeline",
 ]

@@ -160,11 +160,6 @@ class Timeline(Generic[V]):
             return iter(((self._times, self._values),))
         return iter(zip(self._times, self._values))
 
-    def change_times(self) -> List[int]:
-        if type(self._times) is int:
-            return [self._times]
-        return list(self._times)
-
     def __len__(self) -> int:
         if type(self._times) is int:
             return 1
@@ -278,32 +273,3 @@ class _SharedEmptyTimeline(Timeline):
 #: owner about to record a change swaps in a fresh ``Timeline`` first.
 EMPTY_TIMELINE: Timeline = _SharedEmptyTimeline()
 
-
-class BooleanTimeline(Timeline[bool]):
-    """Timeline specialised for membership/liveness flags.
-
-    Adds interval-oriented conveniences used by zone-presence history
-    ("was this domain delegated at snapshot time?").
-    """
-
-    def __init__(self, initial: bool = False) -> None:
-        super().__init__(initial=initial)
-
-    def true_intervals(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Maximal sub-intervals of ``[start, end)`` where the flag is True."""
-        return [(s, e) for s, e, v in self.segments(start, end) if v]
-
-    def ever_true(self, start: int, end: int) -> bool:
-        return any(v for _, _, v in self.segments(start, end))
-
-    def total_true(self, start: int, end: int) -> int:
-        """Total seconds the flag held True within the window."""
-        return sum(e - s for s, e, v in self.segments(start, end) if v)
-
-
-def merge_change_times(timelines: Iterable[Timeline]) -> List[int]:
-    """Sorted union of all change points across several timelines."""
-    times = set()
-    for tl in timelines:
-        times.update(tl.change_times())
-    return sorted(times)

@@ -1167,7 +1167,7 @@ def world_fingerprint(world: World) -> str:
 def small_world(seed: int = 7, tlds: Sequence[str] = ("com", "xyz"),
                 scale: float = 1 / 5000,
                 include_cctld: bool = False) -> World:
-    """A tiny world for tests and the quickstart example."""
+    """A tiny two-TLD world (about 2k registrations) for tests."""
     return build_world(ScenarioConfig(
         seed=seed, scale=scale, tlds=list(tlds),
         include_cctld=include_cctld))

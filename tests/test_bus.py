@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.bus.broker import Broker, TOPIC_CANDIDATES
-from repro.bus.columnar import ColumnStore, Dataset
+from repro.bus.columnar import ColumnStore
 from repro.errors import BusError, OffsetError, UnknownTopicError
 
 
@@ -157,32 +157,6 @@ class TestColumnStore:
         store = ColumnStore("t", ["a"])
         count = store.extend(iter([{"a": i} for i in range(5)]))
         assert count == 5 and len(store) == 5
-
-
-class TestDataset:
-    def test_create_get(self):
-        ds = Dataset()
-        table = ds.create("t1", ["a"])
-        assert ds.get("t1") is table
-        assert ds.ensure("t1", ["a"]) is table
-
-    def test_duplicate_rejected(self):
-        ds = Dataset()
-        ds.create("t", ["a"])
-        with pytest.raises(BusError):
-            ds.create("t", ["a"])
-
-    def test_unknown_rejected(self):
-        with pytest.raises(BusError):
-            Dataset().get("none")
-
-    def test_save_all(self, tmp_path):
-        ds = Dataset()
-        ds.create("x", ["a"]).append({"a": 1})
-        ds.create("y", ["b"]).append({"b": 2})
-        ds.save_all(tmp_path)
-        assert (tmp_path / "x.json").exists()
-        assert (tmp_path / "y.json").exists()
 
 
 class TestBrokerFastPath:

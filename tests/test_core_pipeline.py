@@ -286,6 +286,26 @@ class TestEndToEnd:
         assert small_result.confirmed_transients
         assert small_result.confirmed_transients <= truth
 
+    def test_funnel_loses_no_ct_visible_true_transient(
+            self, small_world, small_result):
+        # Every true transient is either found by CT and then confirmed
+        # or RDAP-failed, or was never named by a certificate logged in
+        # the window: the funnel's only losses are CT coverage and RDAP.
+        window = small_world.window
+        truth = {lc.domain for lc in small_world.ground_truth.true_transients()}
+        found = truth & set(small_result.candidates)
+        assert found
+        assert found <= (small_result.confirmed_transients
+                         | small_result.rdap_failed_transients)
+        logged = set()
+        for log in small_world.logs:
+            for entry in log.entries():
+                if entry.logged_at in window:
+                    logged.update(entry.certificate.dns_names())
+        unseen = truth - found
+        assert unseen
+        assert not unseen & logged
+
     def test_ghosts_fail_rdap(self, small_world, small_result):
         ghosts = [d for d in small_result.transient_candidates
                   if small_world.registries.find_lifecycle(d) is None]

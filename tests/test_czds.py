@@ -164,6 +164,28 @@ class TestSnapshotArchive:
         assert set(sequence.newly_registered()) == {"nrd.com"}
 
 
+class TestZoneNRDReference:
+    """Table 1's Zone NRD column counts ``archive.is_zone_nrd``, an
+    analytic oracle over capture times; the materialised snapshot
+    diffs (:class:`~repro.dnscore.zonediff.DiffSequence`) are its
+    reference and must flag exactly the same domains."""
+
+    def test_diff_sequence_matches_is_zone_nrd_on_every_tld(self,
+                                                            small_world):
+        archive = small_world.archive
+        assert "nl" in archive.covered_tlds
+        mismatched = {}
+        for tld in archive.covered_tlds:
+            registry = small_world.registries.get(tld)
+            diffed = set(archive.diff_sequence(tld).newly_registered())
+            analytic = {lc.domain for lc in registry.lifecycles()
+                        if archive.is_zone_nrd(lc)}
+            assert analytic, tld
+            if diffed != analytic:
+                mismatched[tld] = sorted(diffed ^ analytic)[:5]
+        assert not mismatched
+
+
 class TestDZDB:
     def test_observe_and_lookup(self):
         db = DZDB()

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import DarkDNSPipeline
 from repro.dnscore.resolver import ResolverPool, ResolverPoolMetrics
 from repro.obs import (
     Counter,
@@ -564,16 +563,6 @@ class TestPipelineObservers:
         suite.ingest_series("dark_hosts", dark)
         assert len(suite.mass_events) == 1
         assert suite.mass_events[0].series == ("dark_hosts", "registrations")
-
-    def test_pipeline_hook_annotates_result_stats(self, tiny_world):
-        suite = default_pipeline_suite()
-        result = DarkDNSPipeline(tiny_world, observers=suite).run()
-        assert result.stats["anomalies"] == 0
-        assert result.stats["mass_events"] == 0
-
-    def test_without_observers_stats_untouched(self, small_result):
-        assert "anomalies" not in small_result.stats
-        assert "mass_events" not in small_result.stats
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simtime.timeline import BooleanTimeline, Timeline, merge_change_times
+from repro.simtime.timeline import Timeline
 
 
 class TestTimelineBasics:
@@ -186,9 +186,6 @@ class _Model:
     def changes(self):
         return iter(self.points)
 
-    def change_times(self):
-        return [ts for ts, _ in self.points]
-
     def __len__(self):
         return len(self.points)
 
@@ -217,7 +214,6 @@ class _Model:
 
 def _assert_same_answers(got, want):
     assert list(got.changes()) == list(want.changes())
-    assert got.change_times() == want.change_times()
     assert len(got) == len(want)
     assert bool(got) == bool(want)
     probes = sorted({-1, 0, 41} | {ts + d for ts, _ in want.changes()
@@ -281,35 +277,3 @@ class TestLonePointShape:
         with pytest.raises(SimulationError):
             tl.set(9, "b")
 
-
-class TestBooleanTimeline:
-    def _make(self):
-        tl = BooleanTimeline()
-        tl.set(100, True)
-        tl.set(200, False)
-        tl.set(300, True)
-        return tl
-
-    def test_true_intervals(self):
-        assert self._make().true_intervals(0, 400) == [(100, 200), (300, 400)]
-
-    def test_ever_true(self):
-        tl = self._make()
-        assert tl.ever_true(150, 160)
-        assert not tl.ever_true(200, 300)
-
-    def test_total_true(self):
-        assert self._make().total_true(0, 400) == 200
-
-    def test_initially_false(self):
-        assert not BooleanTimeline().ever_true(0, 100)
-
-
-def test_merge_change_times():
-    a = Timeline()
-    a.set(1, "x")
-    a.set(5, "y")
-    b = Timeline()
-    b.set(3, "z")
-    b.set(5, "w")
-    assert merge_change_times([a, b]) == [1, 3, 5]
